@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -189,6 +190,34 @@ func TestParseStringReparse(t *testing.T) {
 		}
 		if e1.String() != e2.String() {
 			t.Fatalf("not a fixed point: %q vs %q", e1.String(), e2.String())
+		}
+	}
+}
+
+// TestDeepNestingIsASyntaxError: 500k levels of nesting — about 1MB of
+// source — are rejected with an ordinary syntax error instead of
+// overflowing the goroutine stack.
+func TestDeepNestingIsASyntaxError(t *testing.T) {
+	const levels = 500000
+	for name, src := range map[string]string{
+		"parens":     strings.Repeat("(", levels) + "1" + strings.Repeat(")", levels),
+		"lets":       strings.Repeat("let x = 1 in ", levels) + "x",
+		"nots":       strings.Repeat("not ", levels) + "true",
+		"assigns":    strings.Repeat("x := ", levels) + "1",
+		"blocks":     strings.Repeat("{s ", levels) + "1" + strings.Repeat(" s}", levels),
+		"types":      "fun x : " + strings.Repeat("(", levels) + "int" + strings.Repeat(")", levels) + " -> x",
+		"just-under": strings.Repeat("(", maxDepth/3-10) + "1" + strings.Repeat(")", maxDepth/3-10),
+	} {
+		_, err := Parse(src)
+		if name == "just-under" {
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			continue
+		}
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Error(), "nesting deeper than") {
+			t.Errorf("%s: err = %v, want a nesting-depth syntax error", name, err)
 		}
 	}
 }

@@ -68,9 +68,24 @@ func ParseType(src string) (TypeExpr, error) {
 }
 
 type parser struct {
-	toks []token
-	i    int
+	toks  []token
+	i     int
+	depth int // open parseExpr/parseAssign/parseUnary/parseType calls
 }
+
+// maxDepth bounds syntactic nesting. Deeper input is a syntax error
+// rather than a goroutine stack overflow, which recover() cannot catch.
+const maxDepth = 10000
+
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxDepth {
+		return p.errorf("nesting deeper than %d levels", maxDepth)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) cur() token { return p.toks[p.i] }
 
@@ -94,6 +109,10 @@ func (p *parser) expect(k tokenKind) (token, error) {
 }
 
 func (p *parser) parseExpr() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch p.cur().kind {
 	case tokLet:
 		pos := p.advance().pos
@@ -169,6 +188,10 @@ func (p *parser) parseExpr() (Expr, error) {
 // parseType parses surface type syntax (arrows right-associative,
 // "ref" postfix).
 func (p *parser) parseType() (TypeExpr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	prim, err := p.parseTypePrim()
 	if err != nil {
 		return nil, err
@@ -218,6 +241,10 @@ func (p *parser) parseTypePrim() (TypeExpr, error) {
 }
 
 func (p *parser) parseAssign() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	lhs, err := p.parseConj()
 	if err != nil {
 		return nil, err
@@ -290,6 +317,10 @@ func (p *parser) parseAdd() (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch p.cur().kind {
 	case tokNot:
 		pos := p.advance().pos

@@ -1,6 +1,7 @@
 package microc
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -277,4 +278,30 @@ func mustParse(src string) *Program {
 		panic("bad MicroC fixture: " + err.Error())
 	}
 	return prog
+}
+
+// TestDeepNestingIsAParseError: 500k levels of nesting — about 1MB of
+// source — are rejected with an ordinary parse error instead of
+// overflowing the goroutine stack.
+func TestDeepNestingIsAParseError(t *testing.T) {
+	const levels = 500000
+	for name, src := range map[string]string{
+		"parens":     "int main(void) { return " + strings.Repeat("(", levels) + "0" + strings.Repeat(")", levels) + "; }",
+		"derefs":     "int main(void) { return " + strings.Repeat("*", levels) + "0; }",
+		"assigns":    "int x; int main(void) { " + strings.Repeat("x = ", levels) + "0; return 0; }",
+		"blocks":     "int main(void) " + strings.Repeat("{", levels) + strings.Repeat("}", levels),
+		"just-under": "int main(void) { return " + strings.Repeat("(", maxDepth/2-10) + "0" + strings.Repeat(")", maxDepth/2-10) + "; }",
+	} {
+		_, err := Parse(src)
+		if name == "just-under" {
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			continue
+		}
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Error(), "nesting deeper than") {
+			t.Errorf("%s: err = %v, want a nesting-depth parse error", name, err)
+		}
+	}
 }

@@ -26,7 +26,22 @@ type cparser struct {
 	toks       []tok
 	i          int
 	mallocSite int
+	depth      int // open parseStmt/parseAssign/parseUnary calls
 }
+
+// maxDepth bounds syntactic nesting. Deeper input is a parse error
+// rather than a goroutine stack overflow, which recover() cannot catch.
+const maxDepth = 10000
+
+func (p *cparser) enter() error {
+	p.depth++
+	if p.depth > maxDepth {
+		return p.errf("nesting deeper than %d levels", maxDepth)
+	}
+	return nil
+}
+
+func (p *cparser) leave() { p.depth-- }
 
 func (p *cparser) cur() tok          { return p.toks[p.i] }
 func (p *cparser) at(k tokKind) bool { return p.cur().kind == k }
@@ -278,6 +293,10 @@ func (p *cparser) parseBlock() (*BlockStmt, error) {
 }
 
 func (p *cparser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch p.cur().kind {
 	case tLBrace:
 		return p.parseBlock()
@@ -377,6 +396,10 @@ func (p *cparser) parseStmt() (Stmt, error) {
 func (p *cparser) parseExpr() (Expr, error) { return p.parseAssign() }
 
 func (p *cparser) parseAssign() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	lhs, err := p.parseOr()
 	if err != nil {
 		return nil, err
@@ -493,6 +516,10 @@ func (p *cparser) parseAdd() (Expr, error) {
 }
 
 func (p *cparser) parseUnary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	var op UnaryOp
 	switch p.cur().kind {
 	case tStar:

@@ -96,7 +96,9 @@ type Stats struct {
 	CacheHits      int
 	CacheMisses    int
 	RecursionCuts  int
-	SolverQueries  int
+	// SolverQueries is the solver's own query count: the engine pool's,
+	// or the executor solver's without an engine.
+	SolverQueries int
 	// Faults counts classified aborts absorbed anywhere in the run
 	// (engine, solver pool, executor, fixed point); -stats reports it.
 	Faults fault.Snapshot
@@ -587,7 +589,6 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 			})
 		}
 	}
-	m.Stats.SolverQueries += len(checks)
 	// mayNull starts all-true so a query that never completes — a
 	// worker panic or cancellation inside Map skips remaining indices —
 	// degrades to the pessimistic (sound) answer, not the optimistic
@@ -808,7 +809,6 @@ func (m *Analysis) typedCall(x *symexec.Executor, st symexec.State, f *microc.Fu
 		if _, isPtr := p.Type.(microc.PtrType); !isPtr {
 			continue
 		}
-		m.Stats.SolverQueries++
 		sat, err := m.satPC(st.PC, symexec.NullFormula(args[i]))
 		if err != nil || sat {
 			m.Inf.ConstrainNull(m.Inf.VarQ(p).Ptr,

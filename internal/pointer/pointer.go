@@ -14,6 +14,7 @@ package pointer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -74,22 +75,52 @@ type Analysis struct {
 	// never-generated entities mutate the tables, and parallel symbolic
 	// paths query concurrently.
 	mu    sync.Mutex
-	prog  *microc.Program
 	locs  []Loc
-	byKey map[string]int
-
-	pts   []map[int]bool
-	succs []map[int]bool // copy edges
-	loads []map[int]bool // dst ⊇ *n
-	strs  []map[int]bool // *n ⊇ src
+	nodes []node
+	byKey map[Loc]int // interned nodes, keyed with id 0
+	// Complex constraints, kept sparse: few nodes have any.
+	loads map[int][]int // dst ⊇ *n
+	strs  map[int][]int // *n ⊇ src
+	calls map[int][]int // indirect calls through n, indices into indirect
+	work  []int         // solver worklist (LIFO)
 
 	// indirect call sites discovered during constraint generation.
 	indirect []indirectCall
 	// resolved direct + indirect call targets per call node.
 	callTargets map[*microc.Call][]*microc.FuncDef
 	// exprNode memoizes the node of resolved expressions.
-	exprNode  map[microc.Expr]int
-	tempCount int
+	exprNode map[microc.Expr]int
+}
+
+// node is the solver state of one constraint variable.
+type node struct {
+	pts    idSet // pts.elems[done:] is the delta
+	done   int
+	queued bool  // on the worklist
+	succs  idSet // copy edges
+}
+
+// idSet is a set of node ids in insertion order. Small sets are
+// searched by scanning; nothing is allocated before the first add.
+type idSet struct {
+	elems []int
+	index map[int]bool // membership, once elems is too long to scan
+}
+
+func (s *idSet) add(x int) bool {
+	if s.index[x] || s.index == nil && slices.Contains(s.elems, x) {
+		return false
+	}
+	s.elems = append(s.elems, x)
+	if s.index != nil {
+		s.index[x] = true
+	} else if len(s.elems) > 16 {
+		s.index = make(map[int]bool, 2*len(s.elems))
+		for _, y := range s.elems {
+			s.index[y] = true
+		}
+	}
+	return true
 }
 
 type indirectCall struct {
@@ -101,106 +132,40 @@ type indirectCall struct {
 
 // Analyze runs the analysis to fixpoint over the whole program.
 func Analyze(prog *microc.Program) *Analysis {
-	a := &Analysis{
-		prog:        prog,
-		byKey:       map[string]int{},
-		callTargets: map[*microc.Call][]*microc.FuncDef{},
-		exprNode:    map[microc.Expr]int{},
-	}
-	a.generate()
+	a := generate(prog)
 	a.solve()
-	// Indirect calls may reveal new argument/return flows; iterate
-	// until the set of resolved targets stabilizes.
-	for a.bindIndirect() {
-		a.solve()
+	for _, ic := range a.indirect {
+		var targets []*microc.FuncDef
+		for _, l := range a.sortedPts(ic.fun) {
+			if a.locs[l].Kind == FuncLoc {
+				targets = append(targets, a.locs[l].Func)
+			}
+		}
+		if targets != nil {
+			a.callTargets[ic.call] = targets
+		}
 	}
 	return a
 }
 
-// node interning ------------------------------------------------------
-
-func (a *Analysis) intern(key string, mk func(id int) Loc) int {
-	if id, ok := a.byKey[key]; ok {
-		return id
+// generate builds prog's constraint graph, ready to solve.
+func generate(prog *microc.Program) *Analysis {
+	a := &Analysis{
+		byKey:       map[Loc]int{},
+		loads:       map[int][]int{},
+		strs:        map[int][]int{},
+		calls:       map[int][]int{},
+		callTargets: map[*microc.Call][]*microc.FuncDef{},
+		exprNode:    map[microc.Expr]int{},
 	}
-	id := len(a.locs)
-	a.byKey[key] = id
-	a.locs = append(a.locs, mk(id))
-	a.pts = append(a.pts, map[int]bool{})
-	a.succs = append(a.succs, map[int]bool{})
-	a.loads = append(a.loads, map[int]bool{})
-	a.strs = append(a.strs, map[int]bool{})
-	return id
-}
-
-func (a *Analysis) varNode(d *microc.VarDecl) int {
-	return a.intern(fmt.Sprintf("v:%p", d), func(id int) Loc {
-		return Loc{Kind: VarLoc, Var: d, id: id}
-	})
-}
-
-func (a *Analysis) fieldNode(structName, field string) int {
-	return a.intern("f:"+structName+"."+field, func(id int) Loc {
-		return Loc{Kind: FieldLoc, Struct: structName, Field: field, id: id}
-	})
-}
-
-func (a *Analysis) mallocNode(site int) int {
-	return a.intern(fmt.Sprintf("m:%d", site), func(id int) Loc {
-		return Loc{Kind: MallocLoc, Site: site, id: id}
-	})
-}
-
-func (a *Analysis) funcNode(f *microc.FuncDef) int {
-	return a.intern("fn:"+f.Name, func(id int) Loc {
-		return Loc{Kind: FuncLoc, Func: f, id: id}
-	})
-}
-
-func (a *Analysis) retNode(f *microc.FuncDef) int {
-	return a.intern("r:"+f.Name, func(id int) Loc {
-		return Loc{Kind: retLoc, Func: f, id: id}
-	})
-}
-
-func (a *Analysis) tempNode() int {
-	a.tempCount++
-	return a.intern(fmt.Sprintf("t:%d", a.tempCount), func(id int) Loc {
-		return Loc{Kind: tempLoc, id: id}
-	})
-}
-
-// constraint primitives ------------------------------------------------
-
-func (a *Analysis) addrOf(dst, loc int) { a.pts[dst][loc] = true }
-func (a *Analysis) copyEdge(src, dst int) {
-	if src >= 0 && dst >= 0 && src != dst {
-		a.succs[src][dst] = true
-	}
-}
-func (a *Analysis) load(src, dst int) { // dst ⊇ *src
-	if src >= 0 && dst >= 0 {
-		a.loads[src][dst] = true
-	}
-}
-func (a *Analysis) store(dst, src int) { // *dst ⊇ src
-	if src >= 0 && dst >= 0 {
-		a.strs[dst][src] = true
-	}
-}
-
-// constraint generation ------------------------------------------------
-
-func (a *Analysis) generate() {
-	for _, g := range a.prog.Globals {
+	for _, g := range prog.Globals {
 		if g.Init != nil {
-			n := a.rvalue(g.Init)
-			a.copyEdge(n, a.varNode(g))
+			a.copyEdge(a.rvalue(g.Init), a.varNode(g))
 		} else {
 			a.varNode(g)
 		}
 	}
-	for _, f := range a.prog.Funcs {
+	for _, f := range prog.Funcs {
 		for _, p := range f.Params {
 			a.varNode(p)
 		}
@@ -208,7 +173,72 @@ func (a *Analysis) generate() {
 			a.stmt(f, f.Body)
 		}
 	}
+	return a
 }
+
+// node interning ------------------------------------------------------
+
+func (a *Analysis) newNode(l Loc) int {
+	l.id = len(a.locs)
+	a.locs = append(a.locs, l)
+	a.nodes = append(a.nodes, node{})
+	return l.id
+}
+
+func (a *Analysis) intern(l Loc) int {
+	id, ok := a.byKey[l]
+	if !ok {
+		id = a.newNode(l)
+		a.byKey[l] = id
+	}
+	return id
+}
+
+func (a *Analysis) varNode(d *microc.VarDecl) int  { return a.intern(Loc{Kind: VarLoc, Var: d}) }
+func (a *Analysis) mallocNode(site int) int        { return a.intern(Loc{Kind: MallocLoc, Site: site}) }
+func (a *Analysis) funcNode(f *microc.FuncDef) int { return a.intern(Loc{Kind: FuncLoc, Func: f}) }
+func (a *Analysis) retNode(f *microc.FuncDef) int  { return a.intern(Loc{Kind: retLoc, Func: f}) }
+func (a *Analysis) fieldNode(structName, field string) int {
+	return a.intern(Loc{Kind: FieldLoc, Struct: structName, Field: field})
+}
+func (a *Analysis) tempNode() int { return a.newNode(Loc{Kind: tempLoc}) }
+
+// constraint primitives ------------------------------------------------
+
+func (a *Analysis) addrOf(dst, loc int) { a.addPts(dst, []int{loc}) }
+
+// copyEdge adds pts(dst) ⊇ pts(src). The source's delta will travel the
+// new edge when the source is next popped, so only the part of its set
+// its other constraints have already seen is sent now.
+func (a *Analysis) copyEdge(src, dst int) {
+	if src >= 0 && dst >= 0 && src != dst && a.nodes[src].succs.add(dst) {
+		a.addPts(dst, a.nodes[src].pts.elems[:a.nodes[src].done])
+	}
+}
+func (a *Analysis) load(src, dst int) { // dst ⊇ *src
+	if src >= 0 && dst >= 0 {
+		a.loads[src] = append(a.loads[src], dst)
+	}
+}
+func (a *Analysis) store(dst, src int) { // *dst ⊇ src
+	if src >= 0 && dst >= 0 {
+		a.strs[dst] = append(a.strs[dst], src)
+	}
+}
+
+// addPts adds locs to pts(dst), queueing dst when its delta grows.
+func (a *Analysis) addPts(dst int, locs []int) {
+	d := &a.nodes[dst]
+	for _, l := range locs {
+		d.pts.add(l)
+	}
+	if len(d.pts.elems) > d.done && !d.queued {
+		d.queued = true
+		a.work = append(a.work, dst)
+	}
+}
+
+// constraint generation ------------------------------------------------
 
 func (a *Analysis) stmt(fn *microc.FuncDef, s microc.Stmt) {
 	switch s := s.(type) {
@@ -289,8 +319,7 @@ func (a *Analysis) rvalue(e microc.Expr) int {
 		a.assignTo(e.LHS, rhs)
 		return rhs
 	case *microc.Field:
-		base := a.rvalue(e.X)
-		_ = base
+		a.rvalue(e.X)
 		if sn, fld, ok := fieldOf(e); ok {
 			t := a.tempNode()
 			a.copyEdge(a.fieldNode(sn, fld), t)
@@ -387,6 +416,9 @@ func (a *Analysis) call(e *microc.Call) int {
 		args[i] = a.rvalue(arg)
 	}
 	res := a.tempNode()
+	if fun >= 0 {
+		a.calls[fun] = append(a.calls[fun], len(a.indirect))
+	}
 	a.indirect = append(a.indirect, indirectCall{call: e, fun: fun, args: args, res: res})
 	a.exprNode[e] = res
 	return res
@@ -408,93 +440,47 @@ func (a *Analysis) bindCall(e *microc.Call, f *microc.FuncDef) int {
 	return t
 }
 
-// bindIndirect resolves indirect calls against current points-to sets;
-// reports whether any new binding was added.
-func (a *Analysis) bindIndirect() bool {
-	changed := false
-	for _, ic := range a.indirect {
-		if ic.fun < 0 {
-			continue
-		}
-		for l := range a.pts[ic.fun] {
-			loc := a.locs[l]
-			if loc.Kind != FuncLoc {
-				continue
-			}
-			f := loc.Func
-			already := false
-			for _, t := range a.callTargets[ic.call] {
-				if t == f {
-					already = true
-				}
-			}
-			if already {
-				continue
-			}
-			changed = true
-			a.callTargets[ic.call] = append(a.callTargets[ic.call], f)
-			for i, arg := range ic.args {
-				if i < len(f.Params) {
-					a.copyEdge(arg, a.varNode(f.Params[i]))
-				}
-			}
-			if f.Body != nil {
-				a.copyEdge(a.retNode(f), ic.res)
-			}
+// bindIndirect wires an indirect call to a callee its function pointer
+// was found to reach.
+func (a *Analysis) bindIndirect(ic indirectCall, f *microc.FuncDef) {
+	for i, arg := range ic.args {
+		if i < len(f.Params) {
+			a.copyEdge(arg, a.varNode(f.Params[i]))
 		}
 	}
-	return changed
+	if f.Body != nil {
+		a.copyEdge(a.retNode(f), ic.res)
+	}
 }
 
-// solve runs the inclusion-constraint worklist to fixpoint.
+// solve runs the inclusion-constraint worklist to fixpoint by
+// difference propagation: popping a node pushes only its delta — the
+// locations its load, store, call and copy constraints have not yet
+// seen — through those constraints.
 func (a *Analysis) solve() {
-	work := make([]int, 0, len(a.locs))
-	for n := range a.locs {
-		if len(a.pts[n]) > 0 {
-			work = append(work, n)
-		}
-	}
-	inWork := map[int]bool{}
-	for _, n := range work {
-		inWork[n] = true
-	}
-	push := func(n int) {
-		if !inWork[n] {
-			inWork[n] = true
-			work = append(work, n)
-		}
-	}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[n] = false
-		// Process complex constraints against pts(n).
-		for l := range a.pts[n] {
-			for dst := range a.loads[n] {
-				if !a.succs[l][dst] {
-					a.succs[l][dst] = true
-					push(l)
-				}
+	for len(a.work) > 0 {
+		n := a.work[len(a.work)-1]
+		a.work = a.work[:len(a.work)-1]
+		nd := &a.nodes[n]
+		nd.queued = false
+		delta := nd.pts.elems[nd.done:]
+		nd.done = len(nd.pts.elems)
+		for _, l := range delta {
+			for _, dst := range a.loads[n] {
+				a.copyEdge(l, dst)
 			}
-			for src := range a.strs[n] {
-				if !a.succs[src][l] {
-					a.succs[src][l] = true
-					push(src)
+			for _, src := range a.strs[n] {
+				a.copyEdge(src, l)
+			}
+			if a.locs[l].Kind == FuncLoc {
+				for _, ic := range a.calls[n] {
+					a.bindIndirect(a.indirect[ic], a.locs[l].Func)
 				}
 			}
 		}
-		// Propagate along copy edges.
-		for dst := range a.succs[n] {
-			grew := false
-			for l := range a.pts[n] {
-				if !a.pts[dst][l] {
-					a.pts[dst][l] = true
-					grew = true
-				}
-			}
-			if grew {
-				push(dst)
-			}
+		// Binding may intern nodes and so move a.nodes: not nd here.
+		for _, dst := range a.nodes[n].succs.elems {
+			a.addPts(dst, delta)
 		}
 	}
 }
@@ -510,17 +496,23 @@ func pointable(l Loc) bool {
 	return false
 }
 
-func (a *Analysis) ptsOf(n int) []Loc {
+// sortedPts returns pts(n) in location-id order.
+func (a *Analysis) sortedPts(n int) []int {
 	if n < 0 {
 		return nil
 	}
+	out := append([]int(nil), a.nodes[n].pts.elems...)
+	sort.Ints(out)
+	return out
+}
+
+func (a *Analysis) ptsOf(n int) []Loc {
 	var out []Loc
-	for l := range a.pts[n] {
+	for _, l := range a.sortedPts(n) {
 		if pointable(a.locs[l]) {
 			out = append(out, a.locs[l])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 

@@ -365,6 +365,12 @@ func TestBadRequests(t *testing.T) {
 		{"missing source", "/check", `{"workers":1}`, `missing "source"`},
 		{"core parse error", "/check", `{"source":"let let"}`, "parse"},
 		{"microc parse error", "/analyze", `{"source":"int f("}`, "parse"},
+		// 500k nesting levels: a parse error, not a stack overflow that
+		// kills the daemon.
+		{"core deep nesting", "/check", `{"source":"` + strings.Repeat("(", 500000) + "1" +
+			strings.Repeat(")", 500000) + `"}`, "nesting deeper than"},
+		{"microc deep nesting", "/analyze", `{"source":"int main(void) { return ` + strings.Repeat("(", 500000) +
+			"0" + strings.Repeat(")", 500000) + `; }"}`, "nesting deeper than"},
 		{"bad merge", "/check", `{"source":"1 + 2","merge":"sometimes"}`, "bad Merge mode"},
 		{"orphan merge cap", "/analyze", `{"source":"int main() { return 0; }","merge_cap":4}`, "without a Merge mode"},
 		{"negative workers", "/check", `{"source":"1 + 2","workers":-1}`, "negative Workers"},

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mix/internal/corpus"
+	"mix/internal/obs"
 )
 
 func TestCheckWellTyped(t *testing.T) {
@@ -174,5 +175,22 @@ func TestAnalyzeCStats(t *testing.T) {
 	}
 	if res.BlocksAnalyzed == 0 || res.FixpointIters == 0 {
 		t.Fatalf("stats not populated: %+v", res)
+	}
+}
+
+// TestSolverQueriesReconcileWithPool: the facade's query count is the
+// solver pool's own count, not a second tally of the same queries.
+func TestSolverQueriesReconcileWithPool(t *testing.T) {
+	reg := obs.NewRegistry()
+	res, err := AnalyzeC(corpus.SyntheticVsftpd(12, 2), CConfig{Workers: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := reg.Gauge("solver.queries").Value()
+	if pool == 0 {
+		t.Fatal("the pool answered no queries")
+	}
+	if int64(res.SolverQueries) != pool {
+		t.Fatalf("CResult.SolverQueries = %d, pool solver.queries = %d", res.SolverQueries, pool)
 	}
 }
