@@ -15,12 +15,12 @@
 // -env b:bool,x:int. Exit status 1 means the program was rejected.
 //
 // The analysis flags are shared with mixy and with the mixd request
-// schema (see internal/cliflags): -workers n runs the parallel
-// path-exploration engine with n workers (0, the default, keeps
-// exploration sequential); -max-paths bounds the engine's total path
-// budget; -memo=false disables the engine's solver memo table. With -v
-// the engine's fork/steal/memo statistics are printed alongside path
-// and query counts. -cache-dir persists the engine's definite solver
+// schema (see internal/cliflags): every check runs on the
+// path-exploration engine, and -workers n gives it n workers (0, the
+// default, keeps exploration sequential); -max-paths bounds the
+// engine's total path budget; -memo=false disables the engine's solver
+// memo table. With -v the engine's fork/steal/memo statistics are
+// printed alongside path and query counts. -cache-dir persists the engine's definite solver
 // verdicts and counterexample models under a directory, so a repeat
 // run answers previously decided queries from disk.
 //
@@ -158,14 +158,12 @@ func main() {
 			fmt.Fprintln(human, r)
 		}
 		fmt.Fprintf(human, "paths=%d solver-queries=%d\n", res.Paths, res.SolverQueries)
-		if cfg.Workers > 0 || cfg.MaxPaths > 0 || cfg.Deadline > 0 || cfg.SolverTimeout > 0 {
-			fmt.Fprintf(human, "engine: forks=%d steals=%d memo-hits=%d memo-misses=%d solver-time=%v\n",
-				res.Forks, res.Steals, res.MemoHits, res.MemoMisses, res.SolverTime)
-			fmt.Fprintf(human, "pipeline: quick-decided=%d slices=%d max-slice=%d cex-hits=%d\n",
-				res.QuickDecided, res.Slices, res.MaxSlice, res.CexHits)
-			fmt.Fprintf(human, "faults: timeouts=%d panics-recovered=%d paths-truncated=%d\n",
-				res.Timeouts, res.PanicsRecovered, res.PathsTruncated)
-		}
+		fmt.Fprintf(human, "engine: forks=%d steals=%d memo-hits=%d memo-misses=%d solver-time=%v\n",
+			res.Forks, res.Steals, res.MemoHits, res.MemoMisses, res.SolverTime)
+		fmt.Fprintf(human, "pipeline: quick-decided=%d slices=%d max-slice=%d cex-hits=%d\n",
+			res.QuickDecided, res.Slices, res.MaxSlice, res.CexHits)
+		fmt.Fprintf(human, "faults: timeouts=%d panics-recovered=%d paths-truncated=%d\n",
+			res.Timeouts, res.PanicsRecovered, res.PathsTruncated)
 	}
 	if res.Degraded {
 		// A degraded check is unknown, not rejected: report the

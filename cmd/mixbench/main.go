@@ -279,7 +279,7 @@ func tableE4() {
 	fmt.Println("E4 — fork vs defer at conditionals (Section 3.1)")
 	fmt.Println("paper claim: SEIF-DEFER avoids forking but hands the solver harder disjunctive formulas")
 	w := newTab()
-	fmt.Fprintln(w, "conditionals\tmode\tpaths\tsolver atoms\tsolver decisions\ttime")
+	fmt.Fprintln(w, "conditionals\tmode\tpaths\tsolver queries\tmax slice\ttime")
 	for _, n := range []int{4, 6, 8, 10} {
 		src, env := corpus.Ladder(n)
 		for _, mode := range []string{"fork", "defer"} {
@@ -297,10 +297,10 @@ func tableE4() {
 			_, err := checker.CheckSymbolic(tenv, e)
 			must(err)
 			dur := time.Since(start)
+			es := checker.Engine().Snapshot()
 			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%v\n",
 				n, mode, checker.Executor().Stats.Paths,
-				checker.Solver().Stats.Atoms, checker.Solver().Stats.Decisions,
-				dur.Round(time.Microsecond))
+				es.SolverQueries, es.MaxSlice, dur.Round(time.Microsecond))
 		}
 	}
 	w.Flush()
@@ -575,7 +575,7 @@ func tableX3() {
 // on the E6 cache corpus. Rows are also written to BENCH_engine.json.
 func tableX4() {
 	fmt.Println("X4 — parallel engine: workers scaling and solver memoization")
-	fmt.Println("claims: workers=N explores the same paths faster than workers=1; the memo eliminates repeated solver queries")
+	fmt.Println("claims: workers=N explores the same paths faster than workers=1")
 
 	type row struct {
 		Bench         string `json:"bench"`
@@ -703,12 +703,11 @@ func tableX5() {
 		var clones, shared, writes int64
 		var paths int
 		for rep := 0; rep < 3; rep++ {
-			x := symexec.New(parseC(src), pointer.Analyze(prog))
+			eng := engine.New(engine.Options{Workers: 1})
+			x := symexec.New(parseC(src), pointer.Analyze(prog), eng)
 			if maxPaths > 0 {
 				x.MaxPaths = maxPaths
 			}
-			eng := engine.New(engine.Options{Workers: 1})
-			x.Engine = eng
 			c0, s0, wr0 := symexec.MemoryStats()
 			start := time.Now()
 			outs, err := x.Run("f")
@@ -1630,7 +1629,7 @@ func tableX11() {
 // more than 5% slower than dpll on a ladder/vsftpd row. Rows land in
 // BENCH_cdcl.json.
 func tableX12() {
-	fmt.Println("X12 — CDCL core: learned clauses, incremental assumptions, portfolio racing")
+	fmt.Println("X12 — CDCL core: learned clauses, incremental assumptions")
 	fmt.Println("claims: conflict learning collapses the hard family; warm assumption reuse beats re-encoding; the core swap does not tax easy workloads")
 
 	type row struct {
@@ -1703,7 +1702,6 @@ func tableX12() {
 		{"dpll", solver.AlgoDPLL, false},
 		{"cdcl", solver.AlgoCDCL, false},
 		{"cdcl+assume", solver.AlgoCDCL, true},
-		{"portfolio", solver.AlgoPortfolio, false},
 	}
 	// Reps are the outer loop everywhere in this table: interleaving
 	// the modes keeps slow drift (CPU frequency, heap growth) from
@@ -1744,7 +1742,7 @@ func tableX12() {
 
 	// The easy workloads through the full pipeline: the regression
 	// guard for making CDCL the default core.
-	easyModes := []string{"dpll", "cdcl", "portfolio"}
+	easyModes := []string{"dpll", "cdcl"}
 	for _, n := range []int{10, 12} {
 		src, envPairs := corpus.Ladder(n)
 		env := envMap(envPairs)

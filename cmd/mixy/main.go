@@ -16,10 +16,10 @@
 // reported.
 //
 // The analysis flags are shared with mix and with the mixd request
-// schema (see internal/cliflags): -workers n routes solver queries
-// through the engine's memoizing pool and evaluates each block's
-// translation queries on n workers (0, the default, keeps the analysis
-// engine-free); -memo=false disables the memo table.
+// schema (see internal/cliflags): every solver query goes through the
+// engine's memoizing pool, and -workers n evaluates each block's
+// translation queries on n workers (0, the default, evaluates them
+// sequentially); -memo=false disables the memo table.
 //
 // -merge selects veritesting-style state merging in the per-block
 // symbolic executor (DESIGN.md section 12): "joins" (the default)

@@ -1,6 +1,7 @@
 package cgen
 
 import (
+	"strings"
 	"testing"
 
 	"mix/internal/engine"
@@ -10,18 +11,17 @@ import (
 
 // TestSearchCoresMatchOnGeneratedC: MIXY warnings over generated C
 // programs must be byte-identical under every -solver setting — the
-// CDCL core with its incremental assumption stacks, the legacy DPLL
-// oracle, and the portfolio racer — both with a direct per-run solver
-// and through the engine's pooled incremental solvers. Any learned
-// clause that survives where it shouldn't, any assumption that leaks
-// across a pop, any portfolio race that is not verdict-deterministic
-// shows up here as a warning diff.
+// CDCL core with its incremental assumption stacks and the legacy DPLL
+// oracle — through the engine's pooled incremental solvers at one
+// worker and at four. Any learned clause that survives where it
+// shouldn't, or any assumption that leaks across a pop, shows up here
+// as a warning diff.
 func TestSearchCoresMatchOnGeneratedC(t *testing.T) {
 	const programs = 60
 	cfg := DefaultConfig()
 	cfg.SymbolicEntry = true
 	gen := New(0xCDC2, cfg)
-	algos := []solver.Algo{solver.AlgoCDCL, solver.AlgoDPLL, solver.AlgoPortfolio}
+	algos := []solver.Algo{solver.AlgoCDCL, solver.AlgoDPLL}
 
 	diverse := 0
 	for i := 0; i < programs; i++ {
@@ -35,31 +35,29 @@ func TestSearchCoresMatchOnGeneratedC(t *testing.T) {
 			diverse++
 		}
 		for _, a := range algos {
-			direct, err := mixy.Run(mustParse(src), mixy.Options{
-				StrictInit: true,
-				Solver:     solver.Config{Algo: a},
-			})
-			if err != nil {
-				t.Fatalf("program %d (%v direct): %v\n%s", i, a, err, src)
-			}
-			if got := warningText(direct); got != want {
-				t.Fatalf("program %d (%v direct): warnings diverge\ndefault:\n%s\ngot:\n%s\nprogram:\n%s",
-					i, a, want, got, src)
-			}
-
-			eng := engine.New(engine.Options{Workers: 4, SolverAlgo: a})
-			pooled, err := mixy.Run(mustParse(src), mixy.Options{StrictInit: true, Engine: eng})
-			eng.Close()
-			if err != nil {
-				t.Fatalf("program %d (%v engine): %v\n%s", i, a, err, src)
-			}
-			if got := warningText(pooled); got != want {
-				t.Fatalf("program %d (%v engine): warnings diverge\ndefault:\n%s\ngot:\n%s\nprogram:\n%s",
-					i, a, want, got, src)
+			for _, workers := range []int{1, 4} {
+				eng := engine.New(engine.Options{Workers: workers, SolverAlgo: a})
+				pooled, err := mixy.Run(mustParse(src), mixy.Options{StrictInit: true, Engine: eng})
+				eng.Close()
+				if err != nil {
+					t.Fatalf("program %d (%v, workers=%d): %v\n%s", i, a, workers, err, src)
+				}
+				if got := warningText(pooled); got != want {
+					t.Fatalf("program %d (%v, workers=%d): warnings diverge\ndefault:\n%s\ngot:\n%s\nprogram:\n%s",
+						i, a, workers, want, got, src)
+				}
 			}
 		}
 	}
 	if diverse < 5 {
 		t.Fatalf("only %d of %d programs produced warnings; property too weak", diverse, programs)
 	}
+}
+
+func warningText(a *mixy.Analysis) string {
+	out := make([]string, len(a.Warnings))
+	for i, w := range a.Warnings {
+		out[i] = w.String()
+	}
+	return strings.Join(out, "\n")
 }

@@ -183,11 +183,11 @@ func (e envValue) Set(s string) error {
 func (a *Analysis) Register(fs *flag.FlagSet, kind Kind) {
 	// Shared flags — one declaration for every binary.
 	fs.StringVar(&a.Merge, "merge", "joins", "state merging at conditional joins: off, joins, or aggressive")
-	fs.IntVar(&a.Workers, "workers", 0, "parallel engine workers (0 = sequential, no engine)")
+	fs.IntVar(&a.Workers, "workers", 0, "parallel engine workers (0 or 1 = sequential)")
 	fs.Var(negBool{&a.NoMemo}, "memo", "memoize solver queries (engine only)")
 	fs.Var(&a.Deadline, "deadline", "wall-clock deadline for the whole run (0 = none)")
 	fs.Var(&a.SolverTimeout, "solver-timeout", "per-query solver timeout (0 = none)")
-	fs.StringVar(&a.Solver, "solver", "", "solver search core: cdcl (default), dpll, or portfolio")
+	fs.StringVar(&a.Solver, "solver", "", "solver search core: cdcl (default) or dpll")
 	fs.IntVar(&a.MaxAtoms, "max-atoms", 0, "max decision atoms per solver query (0 = default, 256)")
 	fs.IntVar(&a.MaxDecisions, "max-decisions", 0, "max branch decisions per solver query (0 = default, 2^20)")
 	fs.IntVar(&a.MaxLearned, "max-learned", 0, "max learned clauses kept by the CDCL core (0 = default, 10000)")

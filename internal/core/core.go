@@ -63,15 +63,11 @@ type Options struct {
 	// in the path condition. Only meaningful together with Unsound,
 	// since a single concolic path cannot be exhaustive.
 	Concolic bool
-	// Engine, when non-nil, parallelizes path exploration across its
-	// worker pool and routes every solver query through its memoizing
-	// SolverPool. Nil preserves the sequential single-solver behavior.
+	// Engine explores paths across its worker pool and answers every
+	// solver query through its memoizing SolverPool; the engine's
+	// options carry the search core and resource bounds. Nil makes New
+	// build a 1-worker engine with default solver settings.
 	Engine *engine.Engine
-	// Solver selects the search core and resource bounds of the
-	// checker's own solver (the one used when Engine is nil, and for
-	// the address-equality side queries). The zero value is the
-	// default CDCL core with standard bounds.
-	Solver solver.Config
 	// ShardPrefix, when non-empty, restricts every top-level symbolic
 	// block to the subtree selected by forcing its first
 	// len(ShardPrefix) fork decisions (false = then, true = else); the
@@ -106,7 +102,6 @@ type Checker struct {
 	opts Options
 	typs *types.Checker
 	exec *sym.Executor
-	solv *solver.Solver
 	eng  *engine.Engine
 	// mu guards Reports: parallel branches reach tSymBlock through
 	// nested typed blocks concurrently.
@@ -130,9 +125,12 @@ type Checker struct {
 // symbolic executor, each given a hook that invokes the corresponding
 // mix rule.
 func New(opts Options) *Checker {
-	c := &Checker{opts: opts, solv: opts.Solver.NewSolver(), eng: opts.Engine}
+	if opts.Engine == nil {
+		opts.Engine = engine.New(engine.Options{})
+	}
+	c := &Checker{opts: opts, eng: opts.Engine}
 	c.typs = &types.Checker{SymBlock: c.tSymBlock}
-	c.exec = sym.NewExecutor()
+	c.exec = sym.NewExecutor(opts.Engine)
 	c.exec.Mode = opts.IfMode
 	c.exec.MergeMode = opts.Merge
 	c.exec.ConcreteFold = !opts.NoConcreteFold
@@ -142,26 +140,16 @@ func New(opts Options) *Checker {
 	}
 	c.exec.TypBlock = c.seTypBlock
 	c.exec.MemCheck = c.memOK
-	c.exec.Engine = opts.Engine
 	c.exec.Prefix = opts.ShardPrefix
 	return c
 }
 
-// Solver exposes the underlying solver (for statistics).
-func (c *Checker) Solver() *solver.Solver { return c.solv }
-
 // Executor exposes the underlying symbolic executor (for statistics).
 func (c *Checker) Executor() *sym.Executor { return c.exec }
 
-// sat routes satisfiability queries through the engine's memoizing
-// pool when present (required under parallel exploration: the single
-// solver instance is not concurrency-safe), else the plain solver.
-func (c *Checker) sat(f solver.Formula) (bool, error) {
-	if c.eng != nil {
-		return c.eng.Sat(f)
-	}
-	return c.solv.Sat(f)
-}
+// Engine exposes the engine every query and fork of the check runs
+// on (for statistics).
+func (c *Checker) Engine() *engine.Engine { return c.eng }
 
 // Check analyzes e as if wrapped in a typed block at the outermost
 // scope ("MIX can handle either case").
@@ -333,7 +321,7 @@ func (c *Checker) symBlock(env *types.Env, e lang.Expr) (types.Type, error) {
 		}
 		// Valid(g1 ∨ ... ∨ gn) given the side constraints: check that
 		// ¬(g1 ∨ ... ∨ gn) ∧ sides is unsatisfiable.
-		counter, err := c.sat(solver.NewAnd(solver.NewNot(solver.Disj(guards...)), tr.Sides()))
+		counter, err := c.eng.Sat(solver.NewAnd(solver.NewNot(solver.Disj(guards...)), tr.Sides()))
 		if err != nil {
 			return nil, fmt.Errorf("core: exhaustiveness check failed: %w", err)
 		}
@@ -468,7 +456,7 @@ func (c *Checker) memOK(st sym.State) error {
 			return false
 		}
 		// Valid under the path condition: g ∧ sides ∧ a≠b unsat.
-		sat, err := c.sat(solver.Conj(g, tr.Sides(), solver.Neq(ta, tb)))
+		sat, err := c.eng.Sat(solver.Conj(g, tr.Sides(), solver.Neq(ta, tb)))
 		return err == nil && !sat
 	}
 	return sym.MemOKWith(st.Mem, eq)
@@ -499,5 +487,5 @@ func (c *Checker) feasible(g sym.Val) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return c.sat(solver.NewAnd(f, tr.Sides()))
+	return c.eng.Sat(solver.NewAnd(f, tr.Sides()))
 }

@@ -29,7 +29,7 @@ func derefKnownAfterBlock(t *testing.T, opts Options, block string) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	known, err := c.Solver().Valid(solver.Implies(tr.Sides(),
+	known, err := c.Engine().Valid(solver.Implies(tr.Sides(),
 		solver.Eq{X: term, Y: solver.IntConst{Val: 5}}))
 	if err != nil {
 		t.Fatal(err)

@@ -9,15 +9,15 @@ import (
 	"mix/internal/types"
 )
 
-// TestSearchCoresMatchOnGeneratedPrograms: the CDCL core, the legacy
-// DPLL core, and the portfolio racer are interchangeable back ends —
-// checking randomly generated programs must produce the same
-// accept/reject verdict and the same derived type under every
-// -solver setting, both directly and through an engine. The DPLL core
-// stays in the tree exactly to serve as this differential oracle.
+// TestSearchCoresMatchOnGeneratedPrograms: the CDCL core and the
+// legacy DPLL core are interchangeable back ends — checking randomly
+// generated programs must produce the same accept/reject verdict and
+// the same derived type under every -solver setting, at one worker
+// and at two. The DPLL core stays in the tree exactly to serve as this
+// differential oracle.
 func TestSearchCoresMatchOnGeneratedPrograms(t *testing.T) {
 	const programs = 120
-	algos := []solver.Algo{solver.AlgoCDCL, solver.AlgoDPLL, solver.AlgoPortfolio}
+	algos := []solver.Algo{solver.AlgoCDCL, solver.AlgoDPLL}
 
 	for _, symb := range []bool{false, true} {
 		name := "typed"
@@ -38,26 +38,18 @@ func TestSearchCoresMatchOnGeneratedPrograms(t *testing.T) {
 				}
 				wantTy, wantErr := check(Options{})
 				for _, a := range algos {
-					gotTy, gotErr := check(Options{Solver: solver.Config{Algo: a}})
-					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("program %s: verdict diverges under %v: default err=%v, got err=%v",
-							prog, a, wantErr, gotErr)
-					}
-					if wantErr == nil && !types.Equal(wantTy, gotTy) {
-						t.Fatalf("program %s: type diverges under %v: %s vs %s",
-							prog, a, wantTy, gotTy)
-					}
-
-					eng := engine.New(engine.Options{Workers: 2, SolverAlgo: a})
-					gotTy, gotErr = check(Options{Engine: eng})
-					eng.Close()
-					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("program %s: engine verdict diverges under %v: default err=%v, got err=%v",
-							prog, a, wantErr, gotErr)
-					}
-					if wantErr == nil && !types.Equal(wantTy, gotTy) {
-						t.Fatalf("program %s: engine type diverges under %v: %s vs %s",
-							prog, a, wantTy, gotTy)
+					for _, workers := range []int{1, 2} {
+						eng := engine.New(engine.Options{Workers: workers, SolverAlgo: a})
+						gotTy, gotErr := check(Options{Engine: eng})
+						eng.Close()
+						if (wantErr == nil) != (gotErr == nil) {
+							t.Fatalf("program %s: verdict diverges under %v (workers=%d): default err=%v, got err=%v",
+								prog, a, workers, wantErr, gotErr)
+						}
+						if wantErr == nil && !types.Equal(wantTy, gotTy) {
+							t.Fatalf("program %s: type diverges under %v (workers=%d): %s vs %s",
+								prog, a, workers, wantTy, gotTy)
+						}
 					}
 				}
 				if wantErr == nil {

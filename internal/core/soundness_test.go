@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"mix/internal/engine"
 	"testing"
 
 	"mix/internal/concrete"
@@ -170,7 +171,7 @@ func TestSymbolicExecutorAgreesWithConcrete(t *testing.T) {
 	validated := 0
 	for i := 0; i < 300; i++ {
 		prog := gen.Closed()
-		x := sym.NewExecutor()
+		x := sym.NewExecutor(engine.New(engine.Options{}))
 		rs, err := x.Run(sym.EmptyEnv(), x.InitialState(), prog)
 		if err != nil {
 			continue

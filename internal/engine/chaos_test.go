@@ -109,13 +109,12 @@ func TestChaosFaultClassesDeterministic(t *testing.T) {
 
 // TestChaosDegradationUniformAcrossSearchCores: an injected mid-run
 // solver fault must produce the same degraded-but-sound verdict no
-// matter which search core is racing underneath — a mid-CDCL abort,
-// a mid-DPLL abort, and a portfolio race where both racers are
-// canceled all collapse to the same explicit imprecision, never a
-// certificate and never a hang.
+// matter which search core is underneath — a mid-CDCL abort and a
+// mid-DPLL abort both collapse to the same explicit imprecision, never
+// a certificate and never a hang.
 func TestChaosDegradationUniformAcrossSearchCores(t *testing.T) {
 	var verdicts []chaosVerdict
-	for _, algo := range []string{"cdcl", "dpll", "portfolio"} {
+	for _, algo := range []string{"cdcl", "dpll"} {
 		t.Run(algo, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				v, res := runLadderChaos(t, workers, func(c *mix.Config) {

@@ -25,15 +25,15 @@
 //     each concurrent query a private *solver.Solver instance, since
 //     Solver.Stats mutation makes a shared instance racy.
 //
-// A nil *Engine everywhere means "sequential, unmemoized" — exactly
-// the pre-engine behavior.
+// Every analysis runs on an Engine: a caller that wants sequential
+// exploration builds one with a single worker, which keeps the whole
+// solver pipeline in front of every query.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,9 +51,9 @@ var ErrBudget = errors.New("engine: exploration budget exhausted")
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the bound on concurrently running path tasks;
-	// <= 0 means GOMAXPROCS. Workers == 1 gives sequential exploration
-	// with the memoizing solver pool still active.
+	// Workers is the bound on concurrently running path tasks; <= 0
+	// means 1, sequential exploration with the memoizing solver pool
+	// still active.
 	Workers int
 	// MaxPaths bounds the total number of paths the engine will agree
 	// to fork into existence (0 = unlimited). Charging the budget past
@@ -78,10 +78,9 @@ type Options struct {
 	// NewSolver builds the per-worker solver instances; nil means
 	// solver.New. Use it to propagate non-default resource bounds.
 	NewSolver func() *solver.Solver
-	// SolverAlgo selects the search core of every pooled solver (CDCL,
-	// the legacy DPLL oracle, or a portfolio racing both). It is applied
-	// per borrowed query, so runs with different algorithms can share
-	// one warm Cache.
+	// SolverAlgo selects the search core of every pooled solver (CDCL
+	// or the legacy DPLL oracle). It is applied per borrowed query, so
+	// runs with different algorithms can share one warm Cache.
 	SolverAlgo solver.Algo
 	// Context, when non-nil, governs the whole run: cancellation and
 	// deadline expiry are observed cooperatively at fork charges and
@@ -166,10 +165,7 @@ type Engine struct {
 
 // New builds an engine from o.
 func New(o Options) *Engine {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	w := max(o.Workers, 1)
 	e := &Engine{
 		workers:  w,
 		maxPaths: o.MaxPaths,
@@ -196,18 +192,15 @@ func New(o Options) *Engine {
 // atomic.Value requires across stores.
 type ctxBox struct{ ctx context.Context }
 
-// Close releases the engine's deadline timer, if any. Safe on nil.
+// Close releases the engine's deadline timer, if any.
 func (e *Engine) Close() {
-	if e != nil && e.cancel != nil {
+	if e.cancel != nil {
 		e.cancel()
 	}
 }
 
-// Context returns the run's context (Background for a nil engine).
+// Context returns the run's context.
 func (e *Engine) Context() context.Context {
-	if e == nil {
-		return context.Background()
-	}
 	return e.ctx.Load().(ctxBox).ctx
 }
 
@@ -225,33 +218,21 @@ func (e *Engine) SetContext(ctx context.Context) {
 // production). Executors visit their own points through it so one
 // injector drives the whole stack.
 func (e *Engine) Injector() *fault.Injector {
-	if e == nil {
-		return nil
-	}
 	return e.injector
 }
 
 // Faults is the run-wide classified-fault counter. Every layer that
 // absorbs an abort into an imprecise result records it here exactly
 // once, so -stats can report timeouts / panics recovered / paths
-// truncated. Nil for a nil engine (a nil *fault.Counters is inert).
+// truncated.
 func (e *Engine) Faults() *fault.Counters {
-	if e == nil {
-		return nil
-	}
 	return &e.faults
 }
 
 // Interrupted reports a classified timeout/cancellation fault if the
 // run's context is done, nil otherwise. Executors poll it at their
-// step boundaries; op names the polling site for diagnostics. Nil-safe.
-func (e *Engine) Interrupted(op string) error { return e.ctxErr(op) }
-
-// ctxErr reports a classified fault if the run's context is done.
-func (e *Engine) ctxErr(op string) error {
-	if e == nil {
-		return nil
-	}
+// step boundaries; op names the polling site for diagnostics.
+func (e *Engine) Interrupted(op string) error {
 	ctx := e.Context()
 	select {
 	case <-ctx.Done():
@@ -261,22 +242,15 @@ func (e *Engine) ctxErr(op string) error {
 	}
 }
 
-// Tracer exposes the run's event tracer (nil when tracing is off or
-// the engine is nil; a nil tracer and its nil spans are inert).
+// Tracer exposes the run's event tracer (nil when tracing is off; a
+// nil tracer and its nil spans are inert).
 func (e *Engine) Tracer() *obs.Tracer {
-	if e == nil {
-		return nil
-	}
 	return e.tracer
 }
 
 // Metrics exposes the run-scoped metrics registry (nil when metrics
-// are off or the engine is nil; a nil registry hands out inert
-// handles).
+// are off; a nil registry hands out inert handles).
 func (e *Engine) Metrics() *obs.Registry {
-	if e == nil {
-		return nil
-	}
 	return e.metrics
 }
 
@@ -287,7 +261,7 @@ func (e *Engine) Metrics() *obs.Registry {
 // gets a point-in-time copy, so calling this again refreshes the
 // published values. No-op without a registry.
 func (e *Engine) PublishMetrics() {
-	if e == nil || e.metrics == nil {
+	if e.metrics == nil {
 		return
 	}
 	m := e.metrics
@@ -316,9 +290,6 @@ func (e *Engine) PublishMetrics() {
 	}
 }
 
-// Workers reports the worker bound.
-func (e *Engine) Workers() int { return e.workers }
-
 // Pool exposes the memoizing solver frontend.
 func (e *Engine) Pool() *SolverPool { return e.pool }
 
@@ -335,30 +306,12 @@ func (e *Engine) SatPC(pc *solver.PC, extras ...solver.Formula) (bool, error) {
 	return e.pool.SatPC(pc, extras...)
 }
 
-// Feasible reports whether f is satisfiable, treating solver resource
-// exhaustion — and any other solver failure — as "unknown → keep the
-// path", so budget-limited solving conservatively keeps paths and
-// their reports instead of silently dropping them.
-func (e *Engine) Feasible(f solver.Formula) bool {
-	sat, err := e.pool.Sat(f)
-	if err != nil {
-		return true
-	}
-	return sat
-}
-
-// FeasiblePC is Feasible over an incremental path condition plus extra
-// guards (same unknown → keep-path policy).
-func (e *Engine) FeasiblePC(pc *solver.PC, extras ...solver.Formula) bool {
-	sat, err := e.pool.SatPC(pc, extras...)
-	if err != nil {
-		return true
-	}
-	return sat
-}
-
-// FeasiblePCSpan is FeasiblePC with the query's verdict and pipeline
-// stages recorded on sp (nil span → metrics only).
+// FeasiblePCSpan reports whether pc ∧ extras is satisfiable, with the
+// query's verdict and pipeline stages recorded on sp (nil span →
+// metrics only). Solver resource exhaustion — and any other solver
+// failure — counts as "unknown → keep the path", so budget-limited
+// solving conservatively keeps paths and their reports instead of
+// silently dropping them.
 func (e *Engine) FeasiblePCSpan(sp *obs.Span, pc *solver.PC, extras ...solver.Formula) bool {
 	sat, err := e.pool.SatPCSpan(sp, pc, extras...)
 	if err != nil {
@@ -369,9 +322,6 @@ func (e *Engine) FeasiblePCSpan(sp *obs.Span, pc *solver.PC, extras ...solver.Fo
 
 // AddPaths records n completed paths in the aggregate stats.
 func (e *Engine) AddPaths(n int) {
-	if e == nil {
-		return
-	}
 	e.paths.Add(int64(n))
 }
 
@@ -381,16 +331,12 @@ func (e *Engine) AddPaths(n int) {
 // classified path-budget fault (still wrapping ErrBudget) if the fork
 // would exceed the path or depth budget. Every non-nil return is
 // fault-classified except a prior hard failure, so executors apply one
-// uniform rule: degradable → truncate with imprecision, else abort. A
-// nil engine has no budgets.
+// uniform rule: degradable → truncate with imprecision, else abort.
 func (e *Engine) Charge(depth int) error {
-	if e == nil {
-		return nil
-	}
 	if err := e.bail(); err != nil {
 		return err
 	}
-	if err := e.ctxErr("engine.fork"); err != nil {
+	if err := e.Interrupted("engine.fork"); err != nil {
 		return err
 	}
 	if err := e.injector.At(fault.PreFork); err != nil {
@@ -457,19 +403,11 @@ func protect[T any](fn func() (T, error)) (v T, err error) {
 // error also cancels the engine, making sibling tasks unwind early;
 // classified faults (budget, timeout, recovered panic) do not — they
 // degrade locally at the caller. Panics inside either branch are
-// recovered as worker-panic faults. A nil engine runs left then right
-// on the calling goroutine, with the same panic boundary.
+// recovered as worker-panic faults.
 //
 // (A package-level generic function rather than a method, since Go
 // methods cannot introduce type parameters.)
 func Fork2[T any](e *Engine, left, right func() (T, error)) (lv, rv T, err error) {
-	if e == nil {
-		if lv, err = protect(left); err != nil {
-			return
-		}
-		rv, err = protect(right)
-		return
-	}
 	if err = e.bail(); err != nil {
 		return
 	}
@@ -521,7 +459,7 @@ func (e *Engine) Map(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if e == nil || e.workers <= 1 || n == 1 {
+	if e.workers <= 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			if err := protectIdx(fn, i); err != nil {
 				return err
@@ -574,9 +512,6 @@ spawn:
 
 // Snapshot returns the aggregated statistics so far.
 func (e *Engine) Snapshot() Stats {
-	if e == nil {
-		return Stats{}
-	}
 	s := Stats{
 		Workers:   e.workers,
 		Paths:     e.paths.Load(),

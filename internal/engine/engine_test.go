@@ -7,16 +7,20 @@ import (
 	"testing"
 )
 
-func TestFork2NilEngineSequential(t *testing.T) {
+func TestFork2OneWorkerSequential(t *testing.T) {
+	e := New(Options{Workers: 1})
 	var order []string
-	l, r, err := Fork2(nil,
+	l, r, err := Fork2(e,
 		func() (string, error) { order = append(order, "L"); return "left", nil },
 		func() (string, error) { order = append(order, "R"); return "right", nil })
 	if err != nil || l != "left" || r != "right" {
-		t.Fatalf("Fork2(nil) = %q, %q, %v", l, r, err)
+		t.Fatalf("Fork2 = %q, %q, %v", l, r, err)
 	}
 	if fmt.Sprint(order) != "[L R]" {
-		t.Fatalf("nil engine must run left before right, got %v", order)
+		t.Fatalf("a 1-worker engine must run left before right, got %v", order)
+	}
+	if s := e.Snapshot(); s.Steals != 0 {
+		t.Fatalf("a 1-worker engine stole a branch: %+v", s)
 	}
 }
 
@@ -117,16 +121,18 @@ func TestChargeDepthBudget(t *testing.T) {
 	}
 }
 
-func TestChargeNilEngineUnlimited(t *testing.T) {
-	var e *Engine
+// TestChargeDefaultEngineUnlimited: the zero Options give one worker
+// and no budgets, so every charge succeeds and is counted.
+func TestChargeDefaultEngineUnlimited(t *testing.T) {
+	e := New(Options{})
 	for i := 0; i < 1000; i++ {
 		if err := e.Charge(i); err != nil {
-			t.Fatalf("nil engine charged: %v", err)
+			t.Fatalf("unbudgeted engine charged: %v", err)
 		}
 	}
-	e.AddPaths(5) // must not panic
-	if s := e.Snapshot(); s != (Stats{}) {
-		t.Fatalf("nil snapshot = %+v", s)
+	e.AddPaths(5)
+	if s := e.Snapshot(); s.Workers != 1 || s.Forks != 1000 || s.Paths != 5 || s.Exhausted {
+		t.Fatalf("snapshot = %+v", s)
 	}
 }
 
@@ -164,12 +170,12 @@ func TestMapLowestIndexErrorWins(t *testing.T) {
 	}
 }
 
-func TestMapNilEngineSequential(t *testing.T) {
-	var e *Engine
+func TestMapOneWorkerSequential(t *testing.T) {
+	e := New(Options{Workers: 1})
 	var order []int
 	err := e.Map(5, func(i int) error { order = append(order, i); return nil })
 	if err != nil || fmt.Sprint(order) != "[0 1 2 3 4]" {
-		t.Fatalf("nil Map: %v %v", order, err)
+		t.Fatalf("1-worker Map: %v %v", order, err)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestPoolAlgoVerdictsAgree(t *testing.T) {
 	}
 	for qi, q := range queries {
 		var verdicts []bool
-		for _, a := range []solver.Algo{solver.AlgoCDCL, solver.AlgoDPLL, solver.AlgoPortfolio} {
+		for _, a := range []solver.Algo{solver.AlgoCDCL, solver.AlgoDPLL} {
 			e := New(Options{Workers: 1, SolverAlgo: a})
 			sat, err := e.Sat(q)
 			e.Close()
@@ -109,7 +109,7 @@ func TestPoolAlgoVerdictsAgree(t *testing.T) {
 			}
 			verdicts = append(verdicts, sat)
 		}
-		if verdicts[0] != verdicts[1] || verdicts[0] != verdicts[2] {
+		if verdicts[0] != verdicts[1] {
 			t.Fatalf("query %d: verdicts diverge across algos: %v", qi, verdicts)
 		}
 	}

@@ -180,11 +180,11 @@ func TestSolverTimeoutClassifiesTimeout(t *testing.T) {
 
 // TestMidDPLLInjectionReachesDecisionLoop: the mid-DPLL injection site
 // sits on the decision-loop poll (every 32 decisions; the CDCL core
-// and the portfolio racers poll the same fault.MidDPLL site); a long
+// polls the same fault.MidDPLL site); a long
 // entangled chain must trip it under every search core and surface the
 // planned fault class.
 func TestMidDPLLInjectionReachesDecisionLoop(t *testing.T) {
-	for _, algo := range []solver.Algo{solver.AlgoCDCL, solver.AlgoDPLL, solver.AlgoPortfolio} {
+	for _, algo := range []solver.Algo{solver.AlgoCDCL, solver.AlgoDPLL} {
 		t.Run(algo.String(), func(t *testing.T) {
 			inj := fault.NewInjector(1).Plan(fault.MidDPLL, fault.Plan{Class: fault.SolverLimit})
 			eng := engine.New(engine.Options{Workers: 1, FaultInjector: inj, SolverAlgo: algo})

@@ -24,6 +24,11 @@ const defaultMemoSize = 1 << 14
 // cexCacheSize bounds the counterexample (model) cache.
 const cexCacheSize = 64
 
+// queryHook, when non-nil, observes every query the pool answers with
+// its final verdict. Tests set it (export_test.go) to re-decide each
+// query with a fresh solver; production code never does.
+var queryHook func(pc *solver.PC, extras []solver.Formula, sat bool, err error)
+
 // SolverPool is the engine's concurrency-safe solver frontend. Every
 // query runs the incremental pipeline
 //
@@ -47,8 +52,8 @@ const cexCacheSize = 64
 // shared across runs via Options.Cache — the serving daemon's warm
 // path. Construct via New; the zero value is not ready.
 type SolverPool struct {
-	// eng points back at the owning engine for the run context and the
-	// fault injector; nil only in direct-pool unit tests.
+	// eng points back at the owning engine for the run context, the
+	// fault injector and the tracer.
 	eng     *Engine
 	timeout time.Duration // per-query solver timeout (0 = none)
 	algo    solver.Algo   // search core applied to every borrowed solver
@@ -181,13 +186,16 @@ func (p *SolverPool) SatPCSpan(sp *obs.Span, pc *solver.PC, extras ...solver.For
 	}
 	var tr *obs.Tracer
 	var ts int64
-	if sp != nil && p.eng != nil {
+	if sp != nil {
 		tr = p.eng.Tracer()
 		ts = tr.Now()
 	}
 	sat, err := p.satPC(sp, pc, extras)
 	if p.queryHist != nil {
 		p.queryHist.Observe(int64(time.Since(t0)))
+	}
+	if queryHook != nil {
+		queryHook(pc, extras, sat, err)
 	}
 	if sp != nil {
 		sp.Solve(verdictOf(sat, err), tr.Now()-ts)
@@ -201,10 +209,8 @@ func (p *SolverPool) satPC(sp *obs.Span, pc *solver.PC, extras []solver.Formula)
 	// The pre-solve injection point fires per query, before the quick
 	// paths: a planned fault must reach callers whose queries would
 	// otherwise be interval- or memo-decided.
-	if p.eng != nil {
-		if err := p.eng.Injector().At(fault.PreSolve); err != nil {
-			return false, err
-		}
+	if err := p.eng.Injector().At(fault.PreSolve); err != nil {
+		return false, err
 	}
 	if pc.Dead() {
 		p.quick.Add(1)
@@ -343,7 +349,7 @@ func (p *SolverPool) decideComponent(sp *obs.Span, g *cacheGen, cs []conjunct, f
 
 	var tr *obs.Tracer
 	var ts int64
-	if sp != nil && p.eng != nil {
+	if sp != nil {
 		tr = p.eng.Tracer()
 		ts = tr.Now()
 	}
@@ -427,13 +433,11 @@ func (p *SolverPool) solve(sub []solver.Formula, wantModel bool) (bool, *solver.
 		}
 	}
 	var cancel context.CancelFunc
-	if p.eng != nil {
-		ctx := p.eng.Context()
-		if p.timeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, p.timeout)
-		}
-		s.Ctx, s.Injector = ctx, p.eng.Injector()
+	ctx := p.eng.Context()
+	if p.timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, p.timeout)
 	}
+	s.Ctx, s.Injector = ctx, p.eng.Injector()
 	t0 := time.Now()
 	var (
 		sat   bool

@@ -204,7 +204,7 @@ func TestPoolUnknownKeepsPath(t *testing.T) {
 		s.MaxAtoms = 4
 		return s
 	}})
-	if !e.Feasible(limitFormula()) {
+	if !e.FeasiblePCSpan(nil, nil, limitFormula()) {
 		t.Fatal("resource-exhausted query must be treated as feasible (unknown → keep path)")
 	}
 }
@@ -283,7 +283,7 @@ func TestPoolSatPC(t *testing.T) {
 		t.Fatalf("SatPC with contradictory extra = %v, %v, want unsat", sat, err)
 	}
 	// A dead PC short-circuits without any solver work.
-	if e.FeasiblePC(tpc.And(solver.False)) {
+	if e.FeasiblePCSpan(nil, tpc.And(solver.False)) {
 		t.Fatal("dead PC must be infeasible")
 	}
 }

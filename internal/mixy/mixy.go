@@ -61,12 +61,12 @@ type Options struct {
 	// (internal/summary.Store.Precompute) instead of inlining; every
 	// fallback stays observable through the Summarizer's counters.
 	Summaries symexec.Summarizer
-	// Engine, when non-nil, routes all solver queries through the
-	// engine's memoizing pool and evaluates the symbolic-to-typed
-	// translation queries of each block in parallel across its
-	// workers. Path exploration itself stays serial (the executor
-	// hooks mutate the shared qualifier inference), so results are
-	// identical to a run without an engine.
+	// Engine answers every solver query through its memoizing pool and
+	// evaluates the symbolic-to-typed translation queries of each block
+	// in parallel across its workers. Path exploration itself stays
+	// serial (the executor hooks mutate the shared qualifier
+	// inference), so results are identical at every worker count. Nil
+	// makes Run build a 1-worker engine with default solver settings.
 	Engine *engine.Engine
 	// Tracer records fixpoint-loop structure (per-iteration frontier
 	// sizes, block-cache hits and misses, analyzed blocks, degradation
@@ -74,11 +74,6 @@ type Options struct {
 	// used, so a CLI -trace captures MIXY structure with no extra
 	// wiring; with neither, tracing is off.
 	Tracer *obs.Tracer
-	// Solver selects the search core and resource bounds of the
-	// per-block executor's own solver (used when Engine is nil; with
-	// an engine, the pool's solvers are configured by the engine's
-	// own options). The zero value is the default CDCL core.
-	Solver solver.Config
 }
 
 // Warning is an analysis finding.
@@ -96,8 +91,7 @@ type Stats struct {
 	CacheHits      int
 	CacheMisses    int
 	RecursionCuts  int
-	// SolverQueries is the solver's own query count: the engine pool's,
-	// or the executor solver's without an engine.
+	// SolverQueries is the engine pool's query count.
 	SolverQueries int
 	// Faults counts classified aborts absorbed anywhere in the run
 	// (engine, solver pool, executor, fixed point); -stats reports it.
@@ -160,6 +154,9 @@ func Run(prog *microc.Program, opts Options) (*Analysis, error) {
 		m.Inf.AddImplicitNullGlobals()
 	}
 	m.eng = opts.Engine
+	if m.eng == nil {
+		m.eng = engine.New(engine.Options{})
+	}
 	tr := opts.Tracer
 	if tr == nil {
 		tr = m.eng.Tracer()
@@ -168,19 +165,15 @@ func Run(prog *microc.Program, opts Options) (*Analysis, error) {
 	// the whole run; executor roots (one per RunFunc) interleave with
 	// it in deterministic program order.
 	m.span = tr.Root("mixy.fixpoint")
-	m.Exec = symexec.New(prog, m.PA)
-	opts.Solver.Apply(m.Exec.Solv)
+	m.Exec = symexec.New(prog, m.PA, m.eng)
+	// The solver pool is shared; forking stays serial because the
+	// InitCell/TypedCall hooks mutate the inference.
+	m.Exec.SerialFork = true
 	m.Exec.InitCell = m.initCell
 	m.Exec.TypedCall = m.typedCall
 	m.Exec.MergeMode = opts.Merge
 	m.Exec.MergeCap = opts.MergeCap
 	m.Exec.Summaries = opts.Summaries
-	if m.eng != nil {
-		// The solver pool is shared; forking stays serial because the
-		// InitCell/TypedCall hooks mutate the inference.
-		m.Exec.Engine = m.eng
-		m.Exec.SerialFork = true
-	}
 
 	entry, ok := prog.Func(opts.Entry)
 	if !ok {
@@ -249,7 +242,7 @@ func Run(prog *microc.Program, opts Options) (*Analysis, error) {
 func (m *Analysis) Degraded() error { return m.degraded }
 
 // interrupted polls the run's deadline and the fixpoint-iteration
-// fault-injection point; both are inert without an engine.
+// fault-injection point.
 func (m *Analysis) interrupted() error {
 	if err := m.eng.Interrupted("mixy.fixpoint"); err != nil {
 		return err
@@ -442,28 +435,6 @@ func (m *Analysis) contextOf(f *microc.FuncDef) string {
 	return f.Name + "(" + fmt.Sprint(parts) + ")" + fmt.Sprint(globalParts)
 }
 
-// sat decides satisfiability through the engine's memoizing pool when
-// present, else the executor's solver.
-func (m *Analysis) sat(f solver.Formula) (bool, error) {
-	if m.eng != nil {
-		return m.eng.Sat(f)
-	}
-	return m.Exec.Solv.Sat(f)
-}
-
-// satPC decides satisfiability of pc ∧ extra, routing through the
-// engine's incremental pipeline when present so the shared path-
-// condition prefix is sliced and memoized conjunct by conjunct.
-func (m *Analysis) satPC(pc *solver.PC, extra solver.Formula) (bool, error) {
-	if m.eng != nil {
-		return m.eng.SatPC(pc, extra)
-	}
-	if pc.Dead() {
-		return false, nil
-	}
-	return m.Exec.Solv.Sat(solver.NewAnd(pc.Formula(), extra))
-}
-
 // CachedContexts returns the block-cache keys (block name + typed
 // calling context, Section 4.3) as a sorted snapshot. The cache is a
 // map; consumers that iterate it — diagnostics, tests, future
@@ -546,8 +517,8 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 		// The executor stopped mid-exploration (deadline, cancellation,
 		// injected fault, recovered panic) and returned a partial
 		// outcome set. The executor already counted the fault in the
-		// engine's counters when it has one; count it here otherwise.
-		m.degrade(d, m.eng != nil)
+		// engine's counters.
+		m.degrade(d, true)
 		return m.pessimizeBlock(f)
 	}
 	// Symbolic-to-typed translation (Section 4.1): for every named
@@ -598,18 +569,12 @@ func (m *Analysis) analyzeSymBlock(f *microc.FuncDef) bool {
 		mayNull[i] = true
 	}
 	query := func(i int) error {
-		sat, err := m.satPC(checks[i].pc, checks[i].f)
+		sat, err := m.eng.SatPC(checks[i].pc, checks[i].f)
 		mayNull[i] = err != nil || sat
 		return nil
 	}
-	if m.eng != nil {
-		if err := m.eng.Map(len(checks), query); err != nil && fault.Degradable(err) {
-			m.degrade(err, false)
-		}
-	} else {
-		for i := range checks {
-			_ = query(i)
-		}
+	if err := m.eng.Map(len(checks), query); err != nil && fault.Degradable(err) {
+		m.degrade(err, false)
 	}
 	var constrained []*qual.QVar
 	changed := false
@@ -809,7 +774,7 @@ func (m *Analysis) typedCall(x *symexec.Executor, st symexec.State, f *microc.Fu
 		if _, isPtr := p.Type.(microc.PtrType); !isPtr {
 			continue
 		}
-		sat, err := m.satPC(st.PC, symexec.NullFormula(args[i]))
+		sat, err := m.eng.SatPC(st.PC, symexec.NullFormula(args[i]))
 		if err != nil || sat {
 			m.Inf.ConstrainNull(m.Inf.VarQ(p).Ptr,
 				fmt.Sprintf("possibly-null argument to typed function %s at %s", f.Name, pos))
@@ -864,11 +829,7 @@ func (m *Analysis) collectWarnings() {
 		}
 	}
 	m.Stats.Faults = m.faults.Snapshot()
-	if m.eng != nil {
-		snap := m.eng.Snapshot()
-		m.Stats.SolverQueries += int(snap.SolverQueries)
-		m.Stats.Faults.Add(snap.Faults)
-	} else {
-		m.Stats.SolverQueries += m.Exec.Solv.Stats.SatQueries
-	}
+	snap := m.eng.Snapshot()
+	m.Stats.SolverQueries += int(snap.SolverQueries)
+	m.Stats.Faults.Add(snap.Faults)
 }

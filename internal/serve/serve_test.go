@@ -374,6 +374,7 @@ func TestBadRequests(t *testing.T) {
 		{"bad merge", "/check", `{"source":"1 + 2","merge":"sometimes"}`, "bad Merge mode"},
 		{"orphan merge cap", "/analyze", `{"source":"int main() { return 0; }","merge_cap":4}`, "without a Merge mode"},
 		{"negative workers", "/check", `{"source":"1 + 2","workers":-1}`, "negative Workers"},
+		{"portfolio solver", "/check", `{"source":"1 + 2","solver":"portfolio"}`, `unknown solver algorithm "portfolio"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package signs
 import (
 	"fmt"
 
+	"mix/internal/engine"
 	"mix/internal/lang"
 	"mix/internal/solver"
 	"mix/internal/sym"
@@ -31,7 +32,7 @@ type Mixer struct {
 func NewMixer() *Mixer {
 	m := &Mixer{solv: solver.New()}
 	m.signs = &Checker{SymBlock: m.tSymBlock}
-	m.exec = sym.NewExecutor()
+	m.exec = sym.NewExecutor(engine.New(engine.Options{}))
 	m.exec.TypBlock = m.seSignBlock
 	return m
 }

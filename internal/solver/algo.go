@@ -15,12 +15,9 @@ const (
 	// every Solver defaults to it.
 	AlgoCDCL Algo = iota
 	// AlgoDPLL is the original chronological tree search, kept as the
-	// differential oracle behind -solver=dpll.
+	// reference core the differential suites compare CDCL against
+	// (-solver=dpll).
 	AlgoDPLL
-	// AlgoPortfolio races the CDCL core against a scratch DPLL solver
-	// per query: the first definite answer wins and the loser is
-	// canceled through the run context.
-	AlgoPortfolio
 )
 
 func (a Algo) String() string {
@@ -29,8 +26,6 @@ func (a Algo) String() string {
 		return "cdcl"
 	case AlgoDPLL:
 		return "dpll"
-	case AlgoPortfolio:
-		return "portfolio"
 	}
 	return fmt.Sprintf("Algo(%d)", int(a))
 }
@@ -43,48 +38,6 @@ func ParseAlgo(s string) (Algo, error) {
 		return AlgoCDCL, nil
 	case "dpll":
 		return AlgoDPLL, nil
-	case "portfolio":
-		return AlgoPortfolio, nil
 	}
-	return 0, fmt.Errorf("unknown solver algorithm %q (want cdcl, dpll, or portfolio)", s)
-}
-
-// Config carries the tunable solver knobs as one value, so option
-// structs across the engine, the facade, and the CLIs thread them
-// without re-declaring four fields each. The zero value means "all
-// defaults": CDCL with New()'s resource bounds.
-type Config struct {
-	// Algo selects the search core (zero value = CDCL).
-	Algo Algo
-	// MaxAtoms / MaxDecisions / MaxLearned override the corresponding
-	// Solver bounds when positive; zero keeps the defaults.
-	MaxAtoms     int
-	MaxDecisions int
-	MaxLearned   int
-}
-
-// Apply overrides s's knobs with c's non-zero fields and returns s.
-func (c Config) Apply(s *Solver) *Solver {
-	s.Algo = c.Algo
-	if c.MaxAtoms > 0 {
-		s.MaxAtoms = c.MaxAtoms
-	}
-	if c.MaxDecisions > 0 {
-		s.MaxDecisions = c.MaxDecisions
-	}
-	if c.MaxLearned > 0 {
-		s.MaxLearned = c.MaxLearned
-	}
-	return s
-}
-
-// NewSolver returns a fresh solver with c applied.
-func (c Config) NewSolver() *Solver { return c.Apply(New()) }
-
-// CustomBounds reports whether c requests non-default resource bounds.
-// The engine keeps private pooled solver instances in that case —
-// memoized "unknown" verdicts are only deterministic for fixed bounds —
-// while Algo alone is applied per borrow to shared instances.
-func (c Config) CustomBounds() bool {
-	return c.MaxAtoms > 0 || c.MaxDecisions > 0 || c.MaxLearned > 0
+	return 0, fmt.Errorf("unknown solver algorithm %q (want cdcl or dpll)", s)
 }

@@ -68,7 +68,7 @@ func pigeonhole(n int) Formula {
 }
 
 // TestDifferentialAlgorithms: on a seeded stream of random formulas,
-// CDCL, DPLL, and portfolio must return the same verdict, and that
+// CDCL and DPLL must return the same verdict, and that
 // verdict must agree with the brute-force small-domain reference
 // whenever brute finds a model (solver "unsat" must never contradict
 // an existing model; solver "sat" must never contradict brute-unsat,
@@ -78,17 +78,16 @@ func TestDifferentialAlgorithms(t *testing.T) {
 	r := rand.New(rand.NewSource(2010)) // PLDI 2010
 	for i := 0; i < 600; i++ {
 		f := genFormula(r, 3)
-		got := make(map[Algo]bool, 3)
-		for _, a := range []Algo{AlgoCDCL, AlgoDPLL, AlgoPortfolio} {
+		got := make(map[Algo]bool, 2)
+		for _, a := range []Algo{AlgoCDCL, AlgoDPLL} {
 			sat, err := withAlgo(a).Sat(f)
 			if err != nil {
 				t.Fatalf("#%d %s under %s: %v", i, f, a, err)
 			}
 			got[a] = sat
 		}
-		if got[AlgoCDCL] != got[AlgoDPLL] || got[AlgoCDCL] != got[AlgoPortfolio] {
-			t.Fatalf("#%d %s: cdcl=%v dpll=%v portfolio=%v",
-				i, f, got[AlgoCDCL], got[AlgoDPLL], got[AlgoPortfolio])
+		if got[AlgoCDCL] != got[AlgoDPLL] {
+			t.Fatalf("#%d %s: cdcl=%v dpll=%v", i, f, got[AlgoCDCL], got[AlgoDPLL])
 		}
 		if bruteSat(f) && !got[AlgoCDCL] {
 			t.Fatalf("#%d %s: brute found a model but solver says unsat", i, f)
@@ -174,43 +173,6 @@ func TestHardFamilySeparation(t *testing.T) {
 	if dp.Stats.Decisions < 10*cd.Stats.Decisions {
 		t.Fatalf("no separation: dpll=%d decisions, cdcl=%d",
 			dp.Stats.Decisions, cd.Stats.Decisions)
-	}
-}
-
-// TestPortfolioRacesPastDPLLBudget: give both racers a decision budget
-// that chronological DPLL must exhaust on hardMix but CDCL barely
-// touches. The portfolio must return CDCL's definite verdict, not
-// DPLL's exhaustion.
-func TestPortfolioRacesPastDPLLBudget(t *testing.T) {
-	f := hardMix(8)
-
-	// Confirm the budget really separates the two cores.
-	dp := withAlgo(AlgoDPLL)
-	dp.MaxDecisions = 200
-	if _, err := dp.Sat(f); !errors.Is(err, ErrLimit) {
-		t.Fatalf("dpll under budget 200: err=%v, want ErrLimit", err)
-	}
-
-	pf := withAlgo(AlgoPortfolio)
-	pf.MaxDecisions = 200
-	sat, err := pf.Sat(f)
-	if err != nil {
-		t.Fatalf("portfolio must win via cdcl, got err=%v", err)
-	}
-	if sat {
-		t.Fatal("hardMix is unsat")
-	}
-}
-
-// TestPortfolioBothExhausted: when both cores run out of budget the
-// portfolio must surface ErrLimit (a deterministic, memoizable
-// unknown), not hang or invent a verdict.
-func TestPortfolioBothExhausted(t *testing.T) {
-	pf := withAlgo(AlgoPortfolio)
-	pf.MaxDecisions = 1
-	f := NewAnd(NewOr(BoolVar{"p"}, BoolVar{"q"}), NewOr(BoolVar{"r"}, BoolVar{"s"}))
-	if _, err := pf.Sat(f); !errors.Is(err, ErrLimit) {
-		t.Fatalf("err=%v, want ErrLimit", err)
 	}
 }
 
@@ -402,7 +364,7 @@ func TestParseAlgo(t *testing.T) {
 		{"", AlgoCDCL, true},
 		{"cdcl", AlgoCDCL, true},
 		{"dpll", AlgoDPLL, true},
-		{"portfolio", AlgoPortfolio, true},
+		{"portfolio", AlgoCDCL, false},
 		{"minisat", AlgoCDCL, false},
 	}
 	for _, c := range cases {
@@ -411,7 +373,7 @@ func TestParseAlgo(t *testing.T) {
 			t.Fatalf("ParseAlgo(%q) = %v, %v; want %v ok=%v", c.in, got, err, c.want, c.ok)
 		}
 	}
-	for _, a := range []Algo{AlgoCDCL, AlgoDPLL, AlgoPortfolio} {
+	for _, a := range []Algo{AlgoCDCL, AlgoDPLL} {
 		rt, err := ParseAlgo(a.String())
 		if err != nil || rt != a {
 			t.Fatalf("round trip %v: got %v, %v", a, rt, err)

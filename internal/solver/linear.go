@@ -168,17 +168,30 @@ type ineq struct {
 // conjunction of equalities (each lin = 0), inequalities, and
 // disequalities (each lin != 0).
 func theoryConj(eqs []*lin, ineqs []ineq, diseqs []*lin) bool {
-	// Case-split disequalities: l != 0 becomes l < 0 or -l < 0.
+	// Disequalities are checked one at a time. Over the rationals the
+	// solution set P of the equalities and inequalities is convex, and a
+	// convex set lies inside a finite union of hyperplanes only if it
+	// lies inside one of them; so the conjunction is satisfiable iff P
+	// is nonempty and, for each l != 0, P meets l < 0 or -l < 0. That is
+	// at most 1+2k eliminations where splitting every disequality took
+	// up to 2^k.
 	if len(diseqs) > 0 {
-		d, rest := diseqs[0], diseqs[1:]
-		lt := append(append([]ineq{}, ineqs...), ineq{d.clone(), true})
-		if theoryConj(eqs, lt, rest) {
-			return true
+		if !theoryConj(eqs, ineqs, nil) {
+			return false
 		}
-		neg := d.clone()
-		neg.scale(big.NewRat(-1, 1))
-		gt := append(append([]ineq{}, ineqs...), ineq{neg, true})
-		return theoryConj(eqs, gt, rest)
+		for _, d := range diseqs {
+			lt := append(append([]ineq{}, ineqs...), ineq{d.clone(), true})
+			if theoryConj(eqs, lt, nil) {
+				continue
+			}
+			neg := d.clone()
+			neg.scale(big.NewRat(-1, 1))
+			gt := append(append([]ineq{}, ineqs...), ineq{neg, true})
+			if !theoryConj(eqs, gt, nil) {
+				return false
+			}
+		}
+		return true
 	}
 
 	// Copy so elimination does not alias the caller's slices.

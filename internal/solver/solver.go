@@ -31,8 +31,8 @@ type Stats struct {
 // Solver decides satisfiability and validity. The zero value is not
 // ready; use New.
 type Solver struct {
-	// Algo selects the search core: CDCL (the zero value), the legacy
-	// DPLL kept as a differential oracle, or a portfolio racing both.
+	// Algo selects the search core: CDCL (the zero value) or the legacy
+	// DPLL kept as a differential oracle.
 	Algo Algo
 	// MaxAtoms bounds the number of decision atoms per query; queries
 	// above the bound return an error rather than running away.
@@ -55,7 +55,7 @@ type Solver struct {
 	// compares it against its cache's flush epoch and calls Reset when
 	// they diverge, so pooled solvers never outlive the memoization
 	// generation their learned clauses were earned under.
-	Gen uint64
+	Gen   uint64
 	Stats Stats
 
 	d     *cdcl     // persistent CDCL state, created on first use

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mix/internal/engine"
 	"mix/internal/fault"
 	"mix/internal/microc"
 	"mix/internal/symexec"
@@ -120,7 +121,7 @@ func (s *Store) Precompute(prog *microc.Program, armCap int) *ProgramSummaries {
 	// summary's content into the hash: the arm cap and the scratch
 	// executor's exploration bounds. Two runs disagreeing on any of
 	// these never share entries.
-	scratch := symexec.New(prog, nil)
+	scratch := symexec.New(prog, nil, engine.New(engine.Options{}))
 	fp := fmt.Sprintf("v%d cap=%d unroll=%d depth=%d paths=%d merge=aggressive",
 		schemaVersion, armCap, scratch.MaxUnroll, scratch.MaxDepth, scratch.MaxPaths)
 

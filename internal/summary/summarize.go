@@ -318,9 +318,11 @@ func (v precomputeView) NoteFallback(*microc.FuncDef, string)  {}
 // Any imprecision during the scratch run — a loop bound, a budget,
 // a degradation, too many arms — becomes a fallback record: the call
 // sites must inline so the imprecision is reported in caller context,
-// exactly as it would be without summaries.
+// exactly as it would be without summaries. Each run gets its own
+// 1-worker engine, so one function's hard failure cannot cancel the
+// next one's exploration.
 func summarizeFunc(prog *microc.Program, view symexec.Summarizer, f *microc.FuncDef, armCap, height int) *record {
-	x := symexec.New(prog, nil)
+	x := symexec.New(prog, nil, engine.New(engine.Options{}))
 	x.MergeMode = engine.MergeAggressive
 	x.Summaries = view
 	args := make([]symexec.Value, len(f.Params))

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"fmt"
+	"mix/internal/engine"
 	"os"
 	"path/filepath"
 	"sort"
@@ -98,14 +99,14 @@ int entry(int x, int y) MIX(symbolic) {
 func TestInstantiationMatchesInline(t *testing.T) {
 	prog := mustParse(t, callerSrc)
 
-	inline := symexec.New(prog, pointer.Analyze(prog))
+	inline := symexec.New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	inlineOuts, err := inline.Run("entry")
 	if err != nil {
 		t.Fatalf("inline run: %v", err)
 	}
 
 	ps := NewStore("").Precompute(prog, 0)
-	summ := symexec.New(prog, pointer.Analyze(prog))
+	summ := symexec.New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	summ.Summaries = ps
 	summOuts, err := summ.Run("entry")
 	if err != nil {
@@ -189,7 +190,7 @@ func TestDiskRoundTripAndWarmHits(t *testing.T) {
 	// Same program through a decoded summary must instantiate the same
 	// paths as the freshly computed one.
 	run := func(ps *ProgramSummaries) []string {
-		x := symexec.New(prog, pointer.Analyze(prog))
+		x := symexec.New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 		x.Summaries = ps
 		outs, err := x.Run("entry")
 		if err != nil {

@@ -2,6 +2,7 @@ package sym
 
 import (
 	"fmt"
+	"mix/internal/engine"
 	"testing"
 
 	"mix/internal/lang"
@@ -35,7 +36,7 @@ func BenchmarkForkingExecution(b *testing.B) {
 		e, mkEnv := benchLadder(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				x := NewExecutor()
+				x := NewExecutor(engine.New(engine.Options{}))
 				if _, err := x.Run(mkEnv(x), x.InitialState(), e); err != nil {
 					b.Fatal(err)
 				}
@@ -50,7 +51,7 @@ func BenchmarkDeferredExecution(b *testing.B) {
 		e, mkEnv := benchLadder(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				x := NewExecutor()
+				x := NewExecutor(engine.New(engine.Options{}))
 				x.Mode = DeferIf
 				if _, err := x.Run(mkEnv(x), x.InitialState(), e); err != nil {
 					b.Fatal(err)
@@ -77,7 +78,7 @@ func BenchmarkConcreteFoldAblation(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var paths int
 			for i := 0; i < b.N; i++ {
-				x := NewExecutor()
+				x := NewExecutor(engine.New(engine.Options{}))
 				x.ConcreteFold = fold
 				rs, err := x.Run(EmptyEnv(), x.InitialState(), e)
 				if err != nil {
@@ -99,7 +100,7 @@ func BenchmarkMemoryLogDeref(b *testing.B) {
 	src += "!r"
 	e := lang.MustParse(src)
 	for i := 0; i < b.N; i++ {
-		x := NewExecutor()
+		x := NewExecutor(engine.New(engine.Options{}))
 		if _, err := x.Run(EmptyEnv(), x.InitialState(), e); err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func BenchmarkClosureInlining(b *testing.B) {
 	e := lang.MustParse(
 		"let twice = fun f -> fun x -> f (f x) in twice (twice (fun n -> n + 1)) 0")
 	for i := 0; i < b.N; i++ {
-		x := NewExecutor()
+		x := NewExecutor(engine.New(engine.Options{}))
 		rs, err := x.Run(EmptyEnv(), x.InitialState(), e)
 		if err != nil {
 			b.Fatal(err)

@@ -95,11 +95,10 @@ type Executor struct {
 	// references can tie Landin's knot, so execution needs fuel.
 	MaxSteps int
 	steps    atomic.Int64
-	// Engine, when non-nil, runs the two branches of each conditional
-	// fork as parallel scheduler tasks (joined in branch order, so
-	// results keep the sequential depth-first order) and enforces the
-	// engine's path and depth budgets. A nil Engine gives the original
-	// sequential executor.
+	// Engine runs the two branches of each conditional fork as
+	// scheduler tasks (joined in branch order, so results keep the
+	// sequential depth-first order; a 1-worker engine runs them inline)
+	// and enforces the engine's path and depth budgets.
 	Engine *engine.Engine
 	// TypBlock, when non-nil, analyzes {t e t} blocks; this is the
 	// seam where the SETYPBLOCK mix rule plugs in. A nil TypBlock
@@ -145,10 +144,11 @@ type Executor struct {
 	Stats   Stats
 }
 
-// NewExecutor returns an executor with default settings: forking
-// conditionals, concrete folding on, and a fresh-name generator.
-func NewExecutor() *Executor {
-	return &Executor{Fresh: NewFresh(), ConcreteFold: true, MaxPaths: 1 << 14, MaxSteps: 1 << 20}
+// NewExecutor returns an executor on eng with default settings:
+// forking conditionals, concrete folding on, and a fresh-name
+// generator.
+func NewExecutor(eng *engine.Engine) *Executor {
+	return &Executor{Fresh: NewFresh(), ConcreteFold: true, MaxPaths: 1 << 14, MaxSteps: 1 << 20, Engine: eng}
 }
 
 // memCheck applies the configured ⊢ m ok oracle.

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"mix/internal/engine"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestLtFolding(t *testing.T) {
 }
 
 func TestLtSymbolic(t *testing.T) {
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	a := x.Fresh.Var(types.Int, "a")
 	env := EmptyEnv().Extend("a", a)
 	rs, err := x.Run(env, x.InitialState(), lang.MustParse("a < 0"))
@@ -79,7 +80,7 @@ func TestClosureCapture(t *testing.T) {
 }
 
 func TestApplyUnknownFunctionFails(t *testing.T) {
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	f := x.Fresh.Var(types.Fun(types.Int, types.Int), "f")
 	env := EmptyEnv().Extend("f", f)
 	rs, err := x.Run(env, x.InitialState(), lang.MustParse("f 3"))
@@ -128,7 +129,7 @@ func TestRefOfClosureUpdated(t *testing.T) {
 func TestLandinKnotRunsOutOfFuel(t *testing.T) {
 	// Recursion through the store must hit the step budget and degrade
 	// — truncate with a recorded step-budget fault — not hang or fail.
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	x.MaxSteps = 10000
 	src := `let r = ref (fun x -> x) in
 		let f = fun n -> (!r) n in
@@ -160,7 +161,7 @@ func TestFunctionsCannotBeCompared(t *testing.T) {
 func TestDeferModeClosureBranches(t *testing.T) {
 	// A deferred conditional over closures produces a CondOp value;
 	// applying it forks on the guard.
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	x.Mode = DeferIf
 	b := x.Fresh.Var(types.Bool, "b")
 	env := EmptyEnv().Extend("b", b)

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"mix/internal/engine"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // runSrc executes src with a fresh executor.
 func runSrc(t *testing.T, src string) (*Executor, []Result) {
 	t.Helper()
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	rs, err := x.Run(EmptyEnv(), x.InitialState(), lang.MustParse(src))
 	if err != nil {
 		t.Fatalf("Run(%q): %v", src, err)
@@ -61,7 +62,7 @@ func TestLiteralsAndFolding(t *testing.T) {
 }
 
 func TestNoFoldingKeepsStructure(t *testing.T) {
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	x.ConcreteFold = false
 	rs, err := x.Run(EmptyEnv(), x.InitialState(), lang.MustParse("1 + 2"))
 	if err != nil {
@@ -73,7 +74,7 @@ func TestNoFoldingKeepsStructure(t *testing.T) {
 }
 
 func TestSymbolicArithmetic(t *testing.T) {
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	a := x.Fresh.Var(types.Int, "a")
 	env := EmptyEnv().Extend("a", a)
 	rs, err := x.Run(env, x.InitialState(), lang.MustParse("a + 1"))
@@ -113,7 +114,7 @@ func TestDynamicTypeErrors(t *testing.T) {
 }
 
 func TestUnboundVariableIsHardError(t *testing.T) {
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	_, err := x.Run(EmptyEnv(), x.InitialState(), lang.MustParse("nope"))
 	if err == nil || !strings.Contains(err.Error(), "unbound variable") {
 		t.Fatalf("got %v", err)
@@ -121,7 +122,7 @@ func TestUnboundVariableIsHardError(t *testing.T) {
 }
 
 func TestForkOnSymbolicCondition(t *testing.T) {
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	b := x.Fresh.Var(types.Bool, "b")
 	env := EmptyEnv().Extend("b", b)
 	rs, err := x.Run(env, x.InitialState(), lang.MustParse("if b then 1 else 2"))
@@ -161,7 +162,7 @@ func TestFlowSensitiveReuse(t *testing.T) {
 }
 
 func TestNestedForks(t *testing.T) {
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	env := EmptyEnv().
 		Extend("a", x.Fresh.Var(types.Bool, "a")).
 		Extend("b", x.Fresh.Var(types.Bool, "b"))
@@ -220,7 +221,7 @@ func TestIllTypedWriteElsewhereStillBlocks(t *testing.T) {
 }
 
 func TestTypedBlockWithoutHook(t *testing.T) {
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	_, err := x.Run(EmptyEnv(), x.InitialState(), lang.MustParse("{t 1 t}"))
 	if err == nil || !strings.Contains(err.Error(), "typed block not supported") {
 		t.Fatalf("got %v", err)
@@ -235,7 +236,7 @@ func TestSymBlockPassThrough(t *testing.T) {
 }
 
 func TestDeferModeSingleResult(t *testing.T) {
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	x.Mode = DeferIf
 	b := x.Fresh.Var(types.Bool, "b")
 	env := EmptyEnv().Extend("b", b)
@@ -255,7 +256,7 @@ func TestDeferModeSingleResult(t *testing.T) {
 }
 
 func TestDeferModeRequiresSameType(t *testing.T) {
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	x.Mode = DeferIf
 	b := x.Fresh.Var(types.Bool, "b")
 	env := EmptyEnv().Extend("b", b)
@@ -272,7 +273,7 @@ func TestDeferModeRequiresSameType(t *testing.T) {
 func TestForkModeAllowsDifferentBranchTypes(t *testing.T) {
 	// Forking is less conservative than deferring: each path stands
 	// alone, so branch types may differ.
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	b := x.Fresh.Var(types.Bool, "b")
 	env := EmptyEnv().Extend("b", b)
 	rs, err := x.Run(env, x.InitialState(), lang.MustParse("if b then 1 else true"))
@@ -287,7 +288,7 @@ func TestForkModeAllowsDifferentBranchTypes(t *testing.T) {
 func TestMaxPathsBound(t *testing.T) {
 	// Exceeding MaxPaths degrades: the result set is truncated to the
 	// budget and the truncation is recorded, not turned into an error.
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	x.MaxPaths = 3
 	env := EmptyEnv().
 		Extend("a", x.Fresh.Var(types.Bool, "a")).
@@ -310,7 +311,7 @@ func TestMaxPathsBound(t *testing.T) {
 }
 
 func TestGuardsTranslateAndSolve(t *testing.T) {
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	a := x.Fresh.Var(types.Int, "a")
 	env := EmptyEnv().Extend("a", a)
 	rs, err := x.Run(env, x.InitialState(), lang.MustParse("if a = 0 then 1 else 2"))
@@ -348,7 +349,7 @@ func TestGuardsTranslateAndSolve(t *testing.T) {
 
 func TestReadOverWriteTranslation(t *testing.T) {
 	// !x after x := 2 must solve to 2.
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	rs, err := x.Run(EmptyEnv(), x.InitialState(),
 		lang.MustParse("let x = ref 1 in let _ = x := 2 in !x"))
 	if err != nil {
@@ -372,7 +373,7 @@ func TestReadOverWriteTranslation(t *testing.T) {
 
 func TestAllocDistinctness(t *testing.T) {
 	// Two allocations are distinct: writing to y must not clobber x.
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	src := "let x = ref 1 in let y = ref 5 in let _ = y := 9 in !x"
 	rs, err := x.Run(EmptyEnv(), x.InitialState(), lang.MustParse(src))
 	if err != nil {

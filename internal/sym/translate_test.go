@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"mix/internal/engine"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestTranslateErrors(t *testing.T) {
 
 func TestTranslateBooleanReads(t *testing.T) {
 	// A bool stored through a ref and read back at bool type.
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	rs, err := x.Run(EmptyEnv(), x.InitialState(),
 		lang.MustParse("let b = ref true in !b"))
 	if err != nil {
@@ -55,7 +56,7 @@ func TestTranslateBooleanReads(t *testing.T) {
 func TestTranslateBaseMemoryBoolRead(t *testing.T) {
 	// A bool read from the arbitrary base memory μ becomes a free
 	// boolean variable: satisfiable either way.
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	p := x.Fresh.Var(types.Ref(types.Bool), "p")
 	env := EmptyEnv().Extend("p", p)
 	rs, err := x.Run(env, x.InitialState(), lang.MustParse("!p"))
@@ -78,7 +79,7 @@ func TestTranslateBaseMemoryBoolRead(t *testing.T) {
 func TestTranslateCondMemRead(t *testing.T) {
 	// Defer mode writes different values per branch; the merged memory
 	// is conditional, and the read reflects both.
-	x := NewExecutor()
+	x := NewExecutor(engine.New(engine.Options{}))
 	x.Mode = DeferIf
 	b := x.Fresh.Var(types.Bool, "b")
 	env := EmptyEnv().Extend("b", b)

@@ -76,7 +76,6 @@ type Stats struct {
 type Executor struct {
 	Prog *microc.Program
 	PA   *pointer.Analysis
-	Solv *solver.Solver
 
 	// MaxUnroll bounds loop iterations per path.
 	MaxUnroll int
@@ -112,16 +111,15 @@ type Executor struct {
 	// observable: a counter bump plus a "summary" trace event.
 	Summaries Summarizer
 
-	// Engine, when non-nil, routes feasibility queries through the
-	// engine's memoizing solver pool and — unless SerialFork is set —
-	// runs the two feasible sides of a conditional as parallel
-	// scheduler tasks, with reports merged back in canonical
-	// (sequential) order. Nil gives the original sequential executor.
+	// Engine answers feasibility queries through its memoizing solver
+	// pool and — unless SerialFork is set — runs the two feasible sides
+	// of a conditional as scheduler tasks, with reports merged back in
+	// canonical (sequential) order.
 	Engine *engine.Engine
-	// SerialFork keeps path exploration on one goroutine even with an
-	// Engine, so only the solver pool is shared. MIXY sets this: its
-	// InitCell/TypedCall hooks mutate the shared qualifier inference,
-	// which must not run concurrently.
+	// SerialFork keeps path exploration on one goroutine whatever the
+	// Engine's worker count, so only the solver pool is shared. MIXY
+	// sets this: its InitCell/TypedCall hooks mutate the shared
+	// qualifier inference, which must not run concurrently.
 	SerialFork bool
 
 	Reports []Report
@@ -148,7 +146,7 @@ type Executor struct {
 
 // parallel reports whether conditional forks may run concurrently.
 func (x *Executor) parallel() bool {
-	return x.Engine != nil && !x.SerialFork
+	return !x.SerialFork
 }
 
 // degrade absorbs a run-stopping classified fault: record it once (in
@@ -189,10 +187,11 @@ func (x *Executor) interrupted(st State, pos microc.Pos) bool {
 	return false
 }
 
-// New returns an executor over prog with pointer analysis pa.
-func New(prog *microc.Program, pa *pointer.Analysis) *Executor {
+// New returns an executor over prog with pointer analysis pa whose
+// feasibility queries and forks run on eng.
+func New(prog *microc.Program, pa *pointer.Analysis, eng *engine.Engine) *Executor {
 	return &Executor{
-		Prog: prog, PA: pa, Solv: solver.New(),
+		Prog: prog, PA: pa, Engine: eng,
 		MaxUnroll: 6, MaxDepth: 24, MaxPaths: 2048,
 		varObjs:  map[*microc.VarDecl]*Object{},
 		locObjs:  map[string]*Object{},
@@ -268,28 +267,12 @@ func (x *Executor) FreshBool(hint string) solver.Formula {
 }
 
 // feasible decides satisfiability of a path condition plus extra
-// guards, erring toward feasible on solver resource errors
-// (conservative: keeps reports). With an engine the query goes through
-// its sliced, memoizing, per-worker solver pipeline, which classifies
-// resource-exhausted queries the same way: unknown → keep the path.
-// The querying path's span (nil when tracing is off) receives the
-// verdict as a solve event.
+// guards through the engine's sliced, memoizing solver pipeline,
+// erring toward feasible on solver resource errors (unknown → keep the
+// path and its reports). The querying path's span (nil when tracing is
+// off) receives the verdict as a solve event.
 func (x *Executor) feasible(st State, pc *solver.PC, extras ...solver.Formula) bool {
-	if x.Engine != nil {
-		return x.Engine.FeasiblePCSpan(st.span, pc, extras...)
-	}
-	if pc.Dead() {
-		return false
-	}
-	f := pc.Formula()
-	for _, e := range extras {
-		f = solver.NewAnd(f, e)
-	}
-	sat, err := x.Solv.Sat(f)
-	if err != nil {
-		return true
-	}
-	return sat
+	return x.Engine.FeasiblePCSpan(st.span, pc, extras...)
 }
 
 // VarObj returns the (unique, conflated across invocations) object of

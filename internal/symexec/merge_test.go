@@ -13,7 +13,7 @@ import (
 func runMerged(t *testing.T, src, entry string, mode engine.MergeMode, cap int) (*Executor, []Outcome) {
 	t.Helper()
 	prog := mustParse(src)
-	x := New(prog, pointer.Analyze(prog))
+	x := New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	x.MergeMode = mode
 	x.MergeCap = cap
 	outs, err := x.Run(entry)
@@ -183,7 +183,7 @@ func sortedReports(t *testing.T, src string, mode engine.MergeMode) string {
 // and states not descending from base must decline.
 func TestMergeStatesDirect(t *testing.T) {
 	prog := mustParse(`int f(void) { return 0; }`)
-	x := New(prog, pointer.Analyze(prog))
+	x := New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	obj := &Object{ID: 1, Name: "v"}
 
 	n := solver.IntVar{Name: "n"}

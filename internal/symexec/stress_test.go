@@ -75,7 +75,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	const depth = 7 // 127 conditionals, 128 paths, 64 survive
 	src := nestedIfSrc(depth)
 
-	seq := New(mustParse(src), pointer.Analyze(mustParse(src)))
+	seq := New(mustParse(src), pointer.Analyze(mustParse(src)), engine.New(engine.Options{}))
+	seq.SerialFork = true
 	seqOuts, err := seq.Run("f")
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
@@ -90,8 +91,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 8} {
-		par := New(mustParse(src), pointer.Analyze(mustParse(src)))
-		par.Engine = engine.New(engine.Options{Workers: workers})
+		par := New(mustParse(src), pointer.Analyze(mustParse(src)), engine.New(engine.Options{Workers: workers}))
 		parOuts, err := par.Run("f")
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -114,8 +114,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // branch with an Imprecision report instead of failing.
 func TestEnginePathBudgetTruncates(t *testing.T) {
 	src := nestedIfSrc(7)
-	x := New(mustParse(src), pointer.Analyze(mustParse(src)))
-	x.Engine = engine.New(engine.Options{Workers: 1, MaxPaths: 32})
+	x := New(mustParse(src), pointer.Analyze(mustParse(src)), engine.New(engine.Options{Workers: 1, MaxPaths: 32}))
 	_, err := x.Run("f")
 	if err != nil {
 		t.Fatalf("budgeted run must degrade gracefully, got error %v", err)
@@ -142,8 +141,7 @@ func TestEnginePathBudgetTruncates(t *testing.T) {
 // past the bound each path degrades to its then branch.
 func TestEngineForkDepthBudget(t *testing.T) {
 	src := nestedIfSrc(6)
-	x := New(mustParse(src), pointer.Analyze(mustParse(src)))
-	x.Engine = engine.New(engine.Options{Workers: 1, MaxForkDepth: 3})
+	x := New(mustParse(src), pointer.Analyze(mustParse(src)), engine.New(engine.Options{Workers: 1, MaxForkDepth: 3}))
 	outs, err := x.Run("f")
 	if err != nil {
 		t.Fatalf("depth-bounded run must degrade gracefully, got %v", err)

@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"mix/internal/engine"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func run(t *testing.T, src, entry string) (*Executor, []Outcome) {
 	t.Helper()
 	prog := mustParse(src)
-	x := New(prog, pointer.Analyze(prog))
+	x := New(prog, pointer.Analyze(prog), engine.New(engine.Options{}))
 	outs, err := x.Run(entry)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", entry, err)

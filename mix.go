@@ -19,6 +19,7 @@
 package mix
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -74,9 +75,9 @@ type Config struct {
 	// Env declares free variables of the program as name -> type
 	// syntax, e.g. "int", "bool", "int ref", "int -> int".
 	Env map[string]string
-	// Workers > 0 enables the parallel path-exploration engine with
-	// that many workers (1 = sequential exploration with the memoizing
-	// solver pool). 0 keeps the engine off entirely.
+	// Workers bounds the path-exploration engine's parallel workers.
+	// Every check runs on the engine and its memoizing solver pipeline;
+	// 0 or 1 explores sequentially.
 	Workers int
 	// MaxPaths bounds the engine's total path budget (0 = unlimited);
 	// exceeding it degrades the check to an uncertified (Degraded)
@@ -101,9 +102,9 @@ type Config struct {
 	CacheDir string
 	// Solver selects the search core for every solver in the run:
 	// "cdcl" (the default — conflict-driven clause learning with
-	// incremental assumption stacks), "dpll" (the legacy chronological
-	// core, kept as a differential oracle), or "portfolio" (racing both
-	// per query, first definite answer wins). Empty means cdcl.
+	// incremental assumption stacks) or "dpll" (the legacy
+	// chronological core, kept as a differential oracle). Empty means
+	// cdcl.
 	Solver string
 	// MaxAtoms, MaxDecisions, and MaxLearned override the per-query
 	// solver resource bounds: decision atoms per query, branch
@@ -160,20 +161,21 @@ type Result struct {
 	// Merges is the number of join-point state merges performed (only
 	// nonzero with Config.Merge enabled or DeferConditionals).
 	Merges int
-	// SolverQueries counts SMT queries issued.
+	// SolverQueries counts the queries the engine's solver pool
+	// answered.
 	SolverQueries int
-	// Engine statistics (zero without Workers): conditional forks,
-	// forks whose branch ran on another worker, solver memo hits and
-	// misses, and time spent inside the solver.
+	// Engine statistics: conditional forks, forks whose branch ran on
+	// another worker, solver memo hits and misses, and time spent
+	// inside the solver.
 	Forks      int
 	Steals     int
 	MemoHits   int
 	MemoMisses int
 	SolverTime time.Duration
-	// Solver-pipeline statistics (zero without Workers): queries decided
-	// by the constant-time interval fast path, independence components
-	// that reached the memo/DPLL stage, the largest such component (in
-	// conjuncts), and components satisfied by a cached counterexample.
+	// Solver-pipeline statistics: queries decided by the constant-time
+	// interval fast path, independence components that reached the
+	// memo/core stage, the largest such component (in conjuncts), and
+	// components satisfied by a cached counterexample.
 	QuickDecided int
 	Slices       int
 	MaxSlice     int
@@ -186,9 +188,9 @@ type Result struct {
 	Degraded    bool
 	Fault       string
 	FaultDetail string
-	// Classified-fault counters for the run (zero without an engine):
-	// expired deadlines/cancellations, worker panics recovered, and
-	// paths truncated by path/step budgets.
+	// Classified-fault counters for the run: expired
+	// deadlines/cancellations, worker panics recovered, and paths
+	// truncated by path/step budgets.
 	Timeouts        int64
 	PanicsRecovered int64
 	PathsTruncated  int64
@@ -225,7 +227,7 @@ func (cfg Config) Validate() error {
 	case cfg.Mode != StartTyped && cfg.Mode != StartSymbolic:
 		return fmt.Errorf("mix: unknown Mode %d (want StartTyped or StartSymbolic)", cfg.Mode)
 	case cfg.Workers < 0:
-		return fmt.Errorf("mix: negative Workers %d (0 disables the engine)", cfg.Workers)
+		return fmt.Errorf("mix: negative Workers %d (0 means one worker)", cfg.Workers)
 	case cfg.MaxPaths < 0:
 		return fmt.Errorf("mix: negative MaxPaths budget %d (0 means unlimited)", cfg.MaxPaths)
 	case cfg.Deadline < 0:
@@ -247,34 +249,35 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("mix: bad Merge mode %q: %w", cfg.Merge, err)
 		}
 	}
-	if cfg.NoMemo && !cfg.wantsEngine() {
-		return fmt.Errorf("mix: NoMemo set with zero Workers and no other engine option — the memo only exists inside the engine (set Workers >= 1)")
-	}
 	if len(cfg.ShardPrefix) > 0 && cfg.DeferConditionals {
 		return fmt.Errorf("mix: ShardPrefix set with DeferConditionals — deferred conditionals merge instead of forking, so there are no fork decisions to shard on")
 	}
 	return nil
 }
 
-// solverConfig bundles the solver knobs shared by Config and CConfig.
-// Validate has already vetted the algorithm name, so parse errors here
-// fall back to the default core rather than panicking.
-func solverConfig(algo string, maxAtoms, maxDecisions, maxLearned int) solver.Config {
-	a, _ := solver.ParseAlgo(algo)
-	return solver.Config{
-		Algo:         a,
-		MaxAtoms:     maxAtoms,
-		MaxDecisions: maxDecisions,
-		MaxLearned:   maxLearned,
+// engineOptions completes the engine options shared by Config and
+// CConfig: the cache (a private per-run one over cacheDir when no
+// shared Cache is given; the caller persists it after the run) and the
+// solver knobs. Validate has already vetted the algorithm name, so a
+// parse error here falls back to the default core rather than
+// panicking.
+func engineOptions(o engine.Options, cacheDir, algo string, maxAtoms, maxDecisions, maxLearned int) engine.Options {
+	if o.Cache == nil && cacheDir != "" {
+		o.Cache = engine.NewCache(engine.CacheOptions{Dir: cacheDir})
 	}
-}
-
-// wantsEngine mirrors CheckExpr's engine-construction condition.
-func (cfg Config) wantsEngine() bool {
-	return cfg.Workers > 0 || cfg.MaxPaths > 0 || cfg.Deadline > 0 ||
-		cfg.SolverTimeout > 0 || cfg.Cache != nil || cfg.CacheDir != "" ||
-		cfg.Context != nil || cfg.FaultInjector != nil || cfg.Tracer != nil ||
-		cfg.Metrics != nil
+	o.SolverAlgo, _ = solver.ParseAlgo(algo)
+	if maxAtoms > 0 || maxDecisions > 0 || maxLearned > 0 {
+		// Non-default bounds need private pooled instances; a shared
+		// cache's warm solvers carry the default bounds.
+		o.NewSolver = func() *solver.Solver {
+			s := solver.New()
+			s.MaxAtoms = cmp.Or(maxAtoms, s.MaxAtoms)
+			s.MaxDecisions = cmp.Or(maxDecisions, s.MaxDecisions)
+			s.MaxLearned = cmp.Or(maxLearned, s.MaxLearned)
+			return s
+		}
+	}
+	return o
 }
 
 // CheckExpr runs the mixed analysis on a parsed program.
@@ -282,13 +285,11 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 	if err := cfg.Validate(); err != nil {
 		return Result{Err: err}
 	}
-	scfg := solverConfig(cfg.Solver, cfg.MaxAtoms, cfg.MaxDecisions, cfg.MaxLearned)
 	opts := core.Options{
 		Unsound:      cfg.Unsound,
 		SolverAddrEq: cfg.SolverAddrEq,
 		EffectAware:  cfg.EffectAware,
 		ShardPrefix:  cfg.ShardPrefix,
-		Solver:       scfg,
 	}
 	if cfg.DeferConditionals {
 		opts.IfMode = sym.DeferIf
@@ -300,37 +301,24 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 		}
 		opts.Merge = mm
 	}
-	var eng *engine.Engine
-	if cfg.wantsEngine() {
-		cache := cfg.Cache
-		if cache == nil && cfg.CacheDir != "" {
-			// Private per-run cache over a persistent directory: load
-			// before, write back after.
-			cache = engine.NewCache(engine.CacheOptions{Dir: cfg.CacheDir})
-			defer cache.Persist()
-		}
-		eopts := engine.Options{
-			Workers:       cfg.Workers,
-			MaxPaths:      int64(cfg.MaxPaths),
-			NoMemo:        cfg.NoMemo,
-			Cache:         cache,
-			Context:       cfg.Context,
-			Deadline:      cfg.Deadline,
-			SolverTimeout: cfg.SolverTimeout,
-			FaultInjector: cfg.FaultInjector,
-			Tracer:        cfg.Tracer,
-			Metrics:       cfg.Metrics,
-			SolverAlgo:    scfg.Algo,
-		}
-		if scfg.CustomBounds() {
-			// Non-default bounds need private pooled instances; a shared
-			// cache's warm solvers carry the default bounds.
-			eopts.NewSolver = scfg.NewSolver
-		}
-		eng = engine.New(eopts)
-		defer eng.Close()
-		opts.Engine = eng
+	eopts := engineOptions(engine.Options{
+		Workers:       cfg.Workers,
+		MaxPaths:      int64(cfg.MaxPaths),
+		NoMemo:        cfg.NoMemo,
+		Cache:         cfg.Cache,
+		Context:       cfg.Context,
+		Deadline:      cfg.Deadline,
+		SolverTimeout: cfg.SolverTimeout,
+		FaultInjector: cfg.FaultInjector,
+		Tracer:        cfg.Tracer,
+		Metrics:       cfg.Metrics,
+	}, cfg.CacheDir, cfg.Solver, cfg.MaxAtoms, cfg.MaxDecisions, cfg.MaxLearned)
+	if cfg.Cache == nil && eopts.Cache != nil {
+		defer eopts.Cache.Persist()
 	}
+	eng := engine.New(eopts)
+	defer eng.Close()
+	opts.Engine = eng
 	checker := core.New(opts)
 	env := types.EmptyEnv()
 	// Bind in sorted order: fresh symbolic variable IDs are assigned in
@@ -360,11 +348,24 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 	} else {
 		ty, err = checker.Check(env, e)
 	}
+	es := eng.Snapshot()
 	res := Result{
-		Err:           err,
-		Paths:         checker.Executor().Stats.Paths,
-		Merges:        checker.Executor().Stats.Merges,
-		SolverQueries: checker.Solver().Stats.SatQueries,
+		Err:             err,
+		Paths:           checker.Executor().Stats.Paths,
+		Merges:          checker.Executor().Stats.Merges,
+		SolverQueries:   int(es.SolverQueries),
+		Forks:           int(es.Forks),
+		Steals:          int(es.Steals),
+		MemoHits:        int(es.MemoHits),
+		MemoMisses:      int(es.MemoMisses),
+		SolverTime:      es.SolverTime,
+		QuickDecided:    int(es.QuickDecided),
+		Slices:          int(es.Slices),
+		MaxSlice:        int(es.MaxSlice),
+		CexHits:         int(es.CexHits),
+		Timeouts:        es.Faults.Of(fault.Timeout) + es.Faults.Of(fault.Canceled),
+		PanicsRecovered: es.Faults.Of(fault.WorkerPanic),
+		PathsTruncated:  es.Faults.Truncations(),
 	}
 	// The single degradation rule: a classified fault (deadline, budget,
 	// solver limit, recovered panic) is an explicit "cannot certify",
@@ -382,22 +383,6 @@ func CheckExpr(e lang.Expr, cfg Config) Result {
 		// event closes that gap. Emitted only on degraded runs, so
 		// fault-free traces stay byte-comparable.
 		cfg.Tracer.Root("mix.check").Degrade(res.Fault, "verdict degraded to unknown")
-	}
-	if eng != nil {
-		es := eng.Snapshot()
-		res.SolverQueries += int(es.SolverQueries)
-		res.Forks = int(es.Forks)
-		res.Steals = int(es.Steals)
-		res.MemoHits = int(es.MemoHits)
-		res.MemoMisses = int(es.MemoMisses)
-		res.SolverTime = es.SolverTime
-		res.QuickDecided = int(es.QuickDecided)
-		res.Slices = int(es.Slices)
-		res.MaxSlice = int(es.MaxSlice)
-		res.CexHits = int(es.CexHits)
-		res.Timeouts = es.Faults.Of(fault.Timeout) + es.Faults.Of(fault.Canceled)
-		res.PanicsRecovered = es.Faults.Of(fault.WorkerPanic)
-		res.PathsTruncated = es.Faults.Truncations()
 	}
 	if ty != nil {
 		res.Type = ty.String()
@@ -452,9 +437,10 @@ type CConfig struct {
 	// across requests. Nil with Summaries set builds a store from
 	// CacheDir (or memory-only when that too is empty).
 	SummaryStore *summary.Store
-	// Workers > 0 enables the engine: solver queries go through a
-	// memoizing pool and the symbolic-to-typed translation queries of
-	// each block evaluate in parallel across that many workers.
+	// Workers bounds the engine's parallel workers: solver queries
+	// always go through its memoizing pool, and the symbolic-to-typed
+	// translation queries of each block evaluate in parallel across
+	// that many workers (0 or 1 = sequentially).
 	Workers int
 	// NoMemo disables the engine's solver memo table.
 	NoMemo bool
@@ -466,8 +452,8 @@ type CConfig struct {
 	// nil, this run's solver memo and counterexample models; see
 	// Config.CacheDir.
 	CacheDir string
-	// Solver selects the search core ("cdcl", "dpll", "portfolio";
-	// empty = cdcl) and MaxAtoms / MaxDecisions / MaxLearned override
+	// Solver selects the search core ("cdcl" or "dpll"; empty = cdcl)
+	// and MaxAtoms / MaxDecisions / MaxLearned override
 	// the per-query solver bounds; see Config.Solver.
 	Solver       string
 	MaxAtoms     int
@@ -507,8 +493,8 @@ type CResult struct {
 	CacheHits      int
 	FixpointIters  int
 	SolverQueries  int
-	// MemoHits/MemoMisses count engine solver-memo traffic (zero
-	// without Workers); SolverTime is time spent inside the solver.
+	// MemoHits/MemoMisses count engine solver-memo traffic;
+	// SolverTime is time spent inside the solver.
 	MemoHits   int
 	MemoMisses int
 	SolverTime time.Duration
@@ -523,8 +509,7 @@ type CResult struct {
 	SummaryCorrupt      int
 	SummaryInstantiated int64
 	SummaryFallbacks    int64
-	// Solver-pipeline statistics (zero without Workers): see
-	// Result.QuickDecided and friends.
+	// Solver-pipeline statistics: see Result.QuickDecided and friends.
 	QuickDecided int
 	Slices       int
 	MaxSlice     int
@@ -555,7 +540,7 @@ type CResult struct {
 func (cfg CConfig) Validate() error {
 	switch {
 	case cfg.Workers < 0:
-		return fmt.Errorf("mix: negative Workers %d (0 disables the engine)", cfg.Workers)
+		return fmt.Errorf("mix: negative Workers %d (0 means one worker)", cfg.Workers)
 	case cfg.Deadline < 0:
 		return fmt.Errorf("mix: negative Deadline %v (0 means none)", cfg.Deadline)
 	case cfg.SolverTimeout < 0:
@@ -585,17 +570,7 @@ func (cfg CConfig) Validate() error {
 			return fmt.Errorf("mix: bad Merge mode %q: %w", cfg.Merge, err)
 		}
 	}
-	if cfg.NoMemo && !cfg.wantsEngine() {
-		return fmt.Errorf("mix: NoMemo set with zero Workers and no other engine option — the memo only exists inside the engine (set Workers >= 1)")
-	}
 	return nil
-}
-
-// wantsEngine mirrors AnalyzeC's engine-construction condition.
-func (cfg CConfig) wantsEngine() bool {
-	return cfg.Workers > 0 || cfg.Deadline > 0 || cfg.SolverTimeout > 0 ||
-		cfg.Cache != nil || cfg.CacheDir != "" || cfg.Context != nil ||
-		cfg.FaultInjector != nil || cfg.Tracer != nil || cfg.Metrics != nil
 }
 
 // ParseC parses a MicroC translation unit.
@@ -611,32 +586,22 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 	if err != nil {
 		return CResult{}, err
 	}
-	scfg := solverConfig(cfg.Solver, cfg.MaxAtoms, cfg.MaxDecisions, cfg.MaxLearned)
-	var eng *engine.Engine
-	if cfg.wantsEngine() {
-		cache := cfg.Cache
-		if cache == nil && cfg.CacheDir != "" {
-			cache = engine.NewCache(engine.CacheOptions{Dir: cfg.CacheDir})
-			defer cache.Persist()
-		}
-		eopts := engine.Options{
-			Workers:       cfg.Workers,
-			NoMemo:        cfg.NoMemo,
-			Cache:         cache,
-			Context:       cfg.Context,
-			Deadline:      cfg.Deadline,
-			SolverTimeout: cfg.SolverTimeout,
-			FaultInjector: cfg.FaultInjector,
-			Tracer:        cfg.Tracer,
-			Metrics:       cfg.Metrics,
-			SolverAlgo:    scfg.Algo,
-		}
-		if scfg.CustomBounds() {
-			eopts.NewSolver = scfg.NewSolver
-		}
-		eng = engine.New(eopts)
-		defer eng.Close()
+	eopts := engineOptions(engine.Options{
+		Workers:       cfg.Workers,
+		NoMemo:        cfg.NoMemo,
+		Cache:         cfg.Cache,
+		Context:       cfg.Context,
+		Deadline:      cfg.Deadline,
+		SolverTimeout: cfg.SolverTimeout,
+		FaultInjector: cfg.FaultInjector,
+		Tracer:        cfg.Tracer,
+		Metrics:       cfg.Metrics,
+	}, cfg.CacheDir, cfg.Solver, cfg.MaxAtoms, cfg.MaxDecisions, cfg.MaxLearned)
+	if cfg.Cache == nil && eopts.Cache != nil {
+		defer eopts.Cache.Persist()
 	}
+	eng := engine.New(eopts)
+	defer eng.Close()
 	var mergeMode engine.MergeMode
 	if cfg.Merge != "" {
 		mergeMode, err = engine.ParseMergeMode(cfg.Merge)
@@ -667,7 +632,6 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 		MergeCap:          cfg.MergeCap,
 		Engine:            eng,
 		Tracer:            cfg.Tracer,
-		Solver:            scfg,
 	}
 	if sums != nil {
 		mopts.Summaries = sums
@@ -693,16 +657,14 @@ func AnalyzeC(src string, cfg CConfig) (CResult, error) {
 	res.PathsTruncated = a.Stats.Faults.Truncations()
 	clones1, shared1, writes1 := symexec.MemoryStats()
 	res.MemClones, res.SharedCells, res.MemWrites = clones1-clones0, shared1-shared0, writes1-writes0
-	if eng != nil {
-		es := eng.Snapshot()
-		res.MemoHits = int(es.MemoHits)
-		res.MemoMisses = int(es.MemoMisses)
-		res.SolverTime = es.SolverTime
-		res.QuickDecided = int(es.QuickDecided)
-		res.Slices = int(es.Slices)
-		res.MaxSlice = int(es.MaxSlice)
-		res.CexHits = int(es.CexHits)
-	}
+	es := eng.Snapshot()
+	res.MemoHits = int(es.MemoHits)
+	res.MemoMisses = int(es.MemoMisses)
+	res.SolverTime = es.SolverTime
+	res.QuickDecided = int(es.QuickDecided)
+	res.Slices = int(es.Slices)
+	res.MaxSlice = int(es.MaxSlice)
+	res.CexHits = int(es.CexHits)
 	if sums != nil {
 		res.SummaryComputed = sums.Computed
 		res.SummaryMemHits = sums.MemHits

@@ -193,4 +193,45 @@ func TestSolverQueriesReconcileWithPool(t *testing.T) {
 	if int64(res.SolverQueries) != pool {
 		t.Fatalf("CResult.SolverQueries = %d, pool solver.queries = %d", res.SolverQueries, pool)
 	}
+	assertStagesPartition(t, reg)
+}
+
+// TestCoreSolverQueriesReconcileWithPool is the core-language twin on
+// ladder-10: Result.SolverQueries is the pool's count alone.
+func TestCoreSolverQueriesReconcileWithPool(t *testing.T) {
+	src, vars := corpus.Ladder(10)
+	env := map[string]string{}
+	for _, v := range vars {
+		env[v[0]] = v[1]
+	}
+	reg := obs.NewRegistry()
+	res := Check(src, Config{Mode: StartSymbolic, Env: env, Metrics: reg})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	pool := reg.Gauge("solver.queries").Value()
+	if pool == 0 {
+		t.Fatal("the pool answered no queries")
+	}
+	if int64(res.SolverQueries) != pool {
+		t.Fatalf("Result.SolverQueries = %d, pool solver.queries = %d", res.SolverQueries, pool)
+	}
+	assertStagesPartition(t, reg)
+}
+
+// assertStagesPartition checks that a run's published pipeline
+// counters account for its queries: every query ends at the interval
+// fast path or in components, each component that passes the fast path
+// is a memo hit or miss, and each miss is a counterexample hit or a
+// core solve (the solver.dpll.ns count).
+func assertStagesPartition(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	g := func(name string) int64 { return reg.Gauge(name).Value() }
+	queries, quick, slices := g("solver.queries"), g("solver.quick"), g("solver.slices")
+	hits, misses, cex := g("solver.memo.hits"), g("solver.memo.misses"), g("solver.cex_hits")
+	core := reg.Histogram("solver.dpll.ns").Count()
+	if quick+slices < queries || slices != hits+misses || misses != cex+core {
+		t.Fatalf("pipeline counters do not partition the work: queries=%d quick=%d slices=%d memo hits=%d misses=%d cex hits=%d core solves=%d",
+			queries, quick, slices, hits, misses, cex, core)
+	}
 }

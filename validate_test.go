@@ -23,7 +23,8 @@ func TestConfigValidate(t *testing.T) {
 		{"negative deadline", Config{Deadline: -time.Second}, "negative Deadline"},
 		{"negative solver timeout", Config{SolverTimeout: -1}, "negative SolverTimeout"},
 		{"bad merge", Config{Merge: "sometimes"}, `bad Merge mode "sometimes"`},
-		{"nomemo without engine", Config{NoMemo: true}, "NoMemo set with zero Workers"},
+		{"nomemo at zero workers", Config{NoMemo: true}, ""},
+		{"portfolio solver", Config{Solver: "portfolio"}, `unknown solver algorithm "portfolio" (want cdcl or dpll)`},
 		{"nomemo with engine", Config{NoMemo: true, Workers: 1}, ""},
 	}
 	for _, tc := range cases {
@@ -57,7 +58,8 @@ func TestCConfigValidate(t *testing.T) {
 		{"negative merge cap", CConfig{MergeCap: -1}, "negative MergeCap"},
 		{"cap without merge", CConfig{MergeCap: 4}, "MergeCap 4 set without a Merge mode"},
 		{"bad merge", CConfig{Merge: "never"}, `bad Merge mode "never"`},
-		{"nomemo without engine", CConfig{NoMemo: true}, "NoMemo set with zero Workers"},
+		{"nomemo at zero workers", CConfig{NoMemo: true}, ""},
+		{"portfolio solver", CConfig{Solver: "portfolio"}, `unknown solver algorithm "portfolio" (want cdcl or dpll)`},
 		{"nomemo with engine", CConfig{NoMemo: true, Workers: 1}, ""},
 	}
 	for _, tc := range cases {
